@@ -42,6 +42,7 @@ EXIT_IO = 3
 
 ENV_SEED = "NEYMAN_BAI_SEED"
 DEFAULT_SEED = 42
+_SEED_LIMIT = 1 << 64
 
 COLUMNS = (
     "kind", "T", "R", "policy", "estimator", "sigma1", "sigma2",
@@ -97,19 +98,29 @@ def _load_config(args: argparse.Namespace, command: str, required: tuple[str, ..
 
 
 def _resolve_seed(args: argparse.Namespace, cfg: dict | None) -> int:
+    """The master seed from the first source that sets one, in [0, 2^64).
+
+    The generator key keeps a seed's low 64 bits, so a seed outside that
+    range would silently run another seed's streams; it is rejected instead.
+    """
     if args.seed is not None:
-        return args.seed
-    if cfg is not None and "seed" in cfg:
-        return cfg["seed"]
-    env = os.environ.get(ENV_SEED)
-    if env is not None:
+        seed, source = args.seed, "--seed"
+    elif cfg is not None and "seed" in cfg:
+        seed, source = cfg["seed"], "config key 'seed'"
+    else:
+        env = os.environ.get(ENV_SEED)
+        if env is None:
+            return DEFAULT_SEED
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise ConfigError(
                 f"environment variable {ENV_SEED} must be an integer, got {env!r}"
             ) from exc
-    return DEFAULT_SEED
+        source = f"environment variable {ENV_SEED}"
+    if not 0 <= seed < _SEED_LIMIT:
+        raise ConfigError(f"{source} must lie in [0, 2^64), got {seed}")
+    return seed
 
 
 def _resolve_reps(args: argparse.Namespace, cfg: dict, command: str) -> int:

@@ -5,7 +5,10 @@ dedicated streams under s: arm-1 outcomes (stream 4i), arm-2 outcomes
 (4i+1), and selection uniforms (4i+2). Both arms' potential outcomes are
 drawn up front for every round (the policy merely decides which column is
 observed), so a trial's random inputs are a pure function of (seed,
-replication) and never depend on the policy's path. run_trial walks these
+replication) and never depend on the policy's path. A chunk opens its
+first stream with rng.spawn and every later one by re-keying that same
+generator with rng.restart; the draws are identical to a fresh spawn per
+stream, so the stream layout alone fixes the tables. run_trial walks these
 tables with a readable scalar loop; run_monte_carlo runs the same
 arithmetic vectorized across replications in fixed-size chunks. The two
 paths produce bit-identical results, replication by replication, and the
@@ -35,7 +38,7 @@ from .policies import (
     block_cut,
     update,
 )
-from .rng import spawn
+from .rng import restart, spawn
 
 STREAM_ARM1 = 0
 STREAM_ARM2 = 1
@@ -109,16 +112,24 @@ def _tables(cfg: TrialConfig, lo: int, hi: int):
     """
     B = hi - lo
     T = cfg.T
+    seed = cfg.seed
+    arm1, arm2 = cfg.instance.arm1, cfg.instance.arm2
     y1 = np.empty((B, T))
     y2 = np.empty((B, T))
     adaptive = isinstance(cfg.policy, AdaptiveNeyman)
     u = np.empty((B, T)) if adaptive else None
+    # One generator per call (so per worker thread), re-keyed per stream.
+    gen = spawn(seed, _STREAMS_PER_REP * lo + STREAM_ARM1)
     for j in range(B):
         base = _STREAMS_PER_REP * (lo + j)
-        y1[j] = cfg.instance.arm1.draw(spawn(cfg.seed, base + STREAM_ARM1), T)
-        y2[j] = cfg.instance.arm2.draw(spawn(cfg.seed, base + STREAM_ARM2), T)
+        if j:
+            restart(gen, seed, base + STREAM_ARM1)
+        y1[j] = arm1.draw(gen, T)
+        restart(gen, seed, base + STREAM_ARM2)
+        y2[j] = arm2.draw(gen, T)
         if adaptive:
-            u[j] = spawn(cfg.seed, base + STREAM_SELECT).random(T)
+            restart(gen, seed, base + STREAM_SELECT)
+            u[j] = gen.random(T)
     return y1, y2, u
 
 

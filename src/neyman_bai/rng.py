@@ -16,8 +16,12 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 
+def _key(seed: int, stream: int) -> list[int]:
+    return [seed & _MASK64, stream & _MASK64]
+
+
 def _philox(seed: int, stream: int, counter: int = 0) -> np.random.Philox:
-    key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
+    key = np.array(_key(seed, stream), dtype=np.uint64)
     return np.random.Philox(key=key, counter=counter)
 
 
@@ -30,6 +34,24 @@ def spawn(seed: int, stream: int = 0) -> np.random.Generator:
     sequence, which the engine relies on.
     """
     return np.random.Generator(_philox(seed, stream))
+
+
+def restart(gen: np.random.Generator, seed: int, stream: int) -> None:
+    """Move a generator from spawn to the start of another stream, in place.
+
+    Afterwards gen draws exactly what spawn(seed, stream) would: a Philox
+    stream is fixed by its key alone, so re-keying with a zero counter and
+    an empty output buffer replaces building a fresh generator, which
+    costs several times more.
+    """
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": _key(seed, stream)},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 @dataclass(frozen=True)

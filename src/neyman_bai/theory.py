@@ -12,8 +12,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .distributions import Instance, best_arm, kl_divergence
-from .engine import TrialConfig, TrialResult, replicate
+import numpy as np
+
+from .distributions import Instance, kl_divergence
+from .engine import Replications, TrialConfig, replicate
 from .policies import Policy
 
 
@@ -132,30 +134,21 @@ def _event_frequency(
     T: int,
     R: int,
     seed: int,
-    event: Callable[[TrialResult], bool],
+    event: Callable[[Replications], np.ndarray],
     estimator: str,
     threads: int,
 ) -> tuple[float, float, float, float]:
     """(event prob, its SE, mean N1, SE of mean N1) under one model."""
     cfg = TrialConfig(instance, T, policy, estimator, seed)
     reps = replicate(cfg, R, threads)
-    best = best_arm(instance)
-    gap = instance.gap
-    hits = 0
-    for i in range(R):
-        rec = int(reps.recommended[i])
-        n1 = int(reps.n1[i])
-        correct = rec == best
-        res = TrialResult(
-            rec,
-            (n1, T - n1),
-            (float(reps.mu_hat[i, 0]), float(reps.mu_hat[i, 1])),
-            correct,
-            0.0 if correct else gap,
+    hit = event(reps)
+    if not (isinstance(hit, np.ndarray) and hit.dtype == np.bool_ and hit.shape == (R,)):
+        shape = getattr(hit, "shape", None)
+        raise ValueError(
+            f"event must return a boolean array of shape ({R},), one entry per "
+            f"replication; got {type(hit).__name__} with shape {shape}"
         )
-        if event(res):
-            hits += 1
-    p = hits / R
+    p = np.count_nonzero(hit) / R
     p_se = math.sqrt(p * (1.0 - p) / R)
     n1_mean = float(reps.n1.mean())
     n1_sd = float(reps.n1.std(ddof=1)) if R > 1 else 0.0
@@ -169,7 +162,7 @@ def check_transportation(
     T: int,
     R: int,
     seed: int,
-    event: Callable[[TrialResult], bool] | None = None,
+    event: Callable[[Replications], np.ndarray] | None = None,
     estimator: str = "sample_mean",
     threads: int = 1,
 ) -> TransportReport:
@@ -177,13 +170,15 @@ def check_transportation(
 
     Expected pull counts are taken under the baseline model; KLs are
     closed form per arm; event frequencies come from Monte Carlo under
-    both models with the same seed. The default event is {recommended
-    arm == 1}.
+    both models with the same seed. `event` maps the R replications of
+    one model to a boolean array of shape (R,) marking the replications
+    in the event; anything else raises ValueError. The default event is
+    {recommended arm == 1}.
     """
     kl1 = kl_divergence(baseline.arm1, alternative.arm1)
     kl2 = kl_divergence(baseline.arm2, alternative.arm2)
     if event is None:
-        event = lambda res: res.recommended == 1
+        event = lambda reps: reps.recommended == 1
 
     p, p_se, n1_mean, n1_mean_se = _event_frequency(
         baseline, policy, T, R, seed, event, estimator, threads

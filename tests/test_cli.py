@@ -246,6 +246,42 @@ def test_unwritable_out_path_is_an_io_error(tmp_path, capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
+class TestSeedRange:
+    """Seeds outside [0, 2^64) would wrap onto another seed's streams."""
+
+    @pytest.mark.parametrize("seed", ["-5", str(2**64)])
+    def test_flag_out_of_range(self, tmp_path, capsys, seed):
+        cfg = _write_config(tmp_path, RUN_CONFIG)
+        assert main(["run", "--config", cfg, "--seed", seed]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--seed" in err and seed in err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64 + 5)])
+    def test_env_out_of_range(self, tmp_path, capsys, monkeypatch, seed):
+        monkeypatch.setenv(ENV_SEED, seed)
+        doc = {k: v for k, v in RUN_CONFIG.items() if k != "seed"}
+        cfg = _write_config(tmp_path, doc)
+        assert main(["run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert ENV_SEED in err and seed in err
+
+    def test_config_out_of_range(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, {**RUN_CONFIG, "seed": 2**64})
+        assert main(["run", "--config", cfg]) == 2
+        assert "'seed'" in capsys.readouterr().err
+
+    def test_verify_flag_out_of_range(self, capsys):
+        assert main(["verify", "--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_largest_seed_is_accepted(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, RUN_CONFIG)
+        top = str(2**64 - 1)
+        assert main(["run", "--config", cfg, "--seed", top, "--reps", "5"]) == 0
+        assert _rows(capsys.readouterr().out)[0]["seed"] == top
+
+
 class TestSeedPrecedence:
     def _seed_of(self, capsys):
         return _rows(capsys.readouterr().out)[0]["seed"]

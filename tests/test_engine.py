@@ -1,5 +1,6 @@
 """Monte Carlo engine: scalar/vectorized agreement, determinism, reports."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -21,6 +22,7 @@ from neyman_bai.engine import (
     sweep_worst_case,
 )
 from neyman_bai.policies import AdaptiveNeyman, OracleNeyman, Uniform
+from neyman_bai.rng import spawn
 
 GAUSS = Instance(Marginal.gaussian(0.3, 1.0), Marginal.gaussian(0.0, 2.5))
 BERN = Instance(Marginal.bernoulli(0.52), Marginal.bernoulli(0.48))
@@ -127,6 +129,54 @@ class TestDeterminism:
         assert np.array_equal(whole.recommended, chunked.recommended)
         assert np.array_equal(whole.n1, chunked.n1)
         assert np.array_equal(whole.mu_hat, chunked.mu_hat)
+
+
+class TestStreamIdentity:
+    """Table rows are the documented streams, independent of how they are opened.
+
+    The scalar/vectorized agreement tests share _tables, so they cannot
+    notice a change in which stream a row comes from; these tests pin the
+    rows to fresh spawn(seed, 4i + k) streams and the outputs to digests.
+    """
+
+    @pytest.mark.parametrize("inst", [GAUSS, BERN], ids=["gaussian", "bernoulli"])
+    @pytest.mark.parametrize("policy", [AdaptiveNeyman(), Uniform()], ids=["adaptive", "block"])
+    def test_rows_equal_fresh_spawn_streams(self, inst, policy):
+        seed, T, lo, hi = 77, 30, 5, 9
+        y1, y2, u = eng._tables(TrialConfig(inst, T, policy, "aipw", seed), lo, hi)
+        adaptive = isinstance(policy, AdaptiveNeyman)
+        assert (u is not None) == adaptive
+        for j, i in enumerate(range(lo, hi)):
+            assert y1[j].tobytes() == inst.arm1.draw(spawn(seed, 4 * i), T).tobytes()
+            assert y2[j].tobytes() == inst.arm2.draw(spawn(seed, 4 * i + 1), T).tobytes()
+            if adaptive:
+                assert u[j].tobytes() == spawn(seed, 4 * i + 2).random(T).tobytes()
+
+    # SHA-256 of n1 (<i8) then mu_hat (<f8) for R = 50, computed before
+    # streams were opened by re-keying one generator per chunk.
+    PINNED = {
+        "adaptive": (
+            TrialConfig(GAUSS, 40, AdaptiveNeyman(), "aipw", seed=2024),
+            "67a3704ec213e9bad2c888b16c956e697ac853456c16995c8dd60410a690c534",
+        ),
+        "block": (
+            TrialConfig(BERN, 41, OracleNeyman(1.0, 2.0), "ipw", seed=2024),
+            "2e462aff267ec85f590942213437352775db4e1860aa50f7384bf3fe63bdae23",
+        ),
+    }
+
+    @staticmethod
+    def _digest(reps):
+        h = hashlib.sha256(reps.n1.astype("<i8").tobytes())
+        h.update(reps.mu_hat.astype("<f8").tobytes())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_replicate_matches_pinned_digest(self, name, monkeypatch):
+        cfg, want = self.PINNED[name]
+        assert self._digest(replicate(cfg, 50)) == want
+        monkeypatch.setattr(eng, "_CHUNK_CELLS", cfg.T * 7)  # 7 reps per chunk
+        assert self._digest(replicate(cfg, 50, threads=2)) == want
 
 
 class TestBlockSchedules:

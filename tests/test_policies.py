@@ -59,6 +59,11 @@ class TestAllocationState:
         arr = np.asarray(values)
         assert s.mean(1) == pytest.approx(arr.mean(), rel=1e-10, abs=1e-10)
         v = variance_estimate(s, 1, eta=1e-3)
+        if len(set(values)) == 1:
+            # Welford leaves m2 at exactly 0, so the floor applies, while
+            # numpy's two-pass var may return a rounding residue above 0.
+            assert v == 1e-3
+            return
         pop = float(arr.var())
         if pop > 0.0:
             assert v == pytest.approx(pop, rel=1e-8, abs=1e-12)

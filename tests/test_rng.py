@@ -8,7 +8,7 @@ sits on top of these.
 import numpy as np
 import pytest
 
-from neyman_bai.rng import RngState, spawn, uniform
+from neyman_bai.rng import RngState, restart, spawn, uniform
 
 PINNED_UNIFORMS_42_0 = [0.8201981478608876, 0.18924562408645496, 0.8676608148821462]
 PINNED_NORMALS_42_0 = [0.3375714466967798, -0.7821534784435413, -0.3160252007782352]
@@ -99,3 +99,28 @@ def test_large_seed_and_stream_are_masked_consistently():
     big = 2**64 + 5
     np.testing.assert_array_equal(spawn(big, 0).random(4), spawn(5, 0).random(4))
     np.testing.assert_array_equal(spawn(0, big).random(4), spawn(0, 5).random(4))
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda g: g.standard_normal(9),
+        lambda g: g.random(9),
+        lambda g: g.integers(0, 2**32, size=9, dtype=np.uint32),
+    ],
+    ids=["normals", "uniforms", "uint32"],
+)
+def test_restart_matches_fresh_spawn(draw):
+    gen = spawn(1, 0)
+    gen.standard_normal(5)
+    # An odd number of 32-bit draws leaves half a 64-bit word cached.
+    gen.integers(0, 2**32, size=3, dtype=np.uint32)
+    assert gen.bit_generator.state["has_uint32"] == 1
+    restart(gen, 42, 9)
+    np.testing.assert_array_equal(draw(gen), draw(spawn(42, 9)))
+
+
+def test_restart_masks_like_spawn():
+    gen = spawn(1, 0)
+    restart(gen, 2**64 + 5, 2**64 + 3)
+    np.testing.assert_array_equal(gen.random(4), spawn(5, 3).random(4))

@@ -182,13 +182,39 @@ class TestTransportation:
         base = Instance(Marginal.gaussian(0.2, 1.0), Marginal.gaussian(0.0, 1.0))
         alt = Instance(Marginal.gaussian(0.0, 1.0), Marginal.gaussian(0.2, 1.0))
         rep = check_transportation(
-            base, alt, Uniform(), T=20, R=200, seed=3, event=lambda r: True
+            base, alt, Uniform(), T=20, R=200, seed=3,
+            event=lambda reps: np.ones(len(reps.n1), dtype=bool),
         )
         assert rep.p_baseline == 1.0
         assert rep.p_alternative == 1.0
         assert rep.rhs == 0.0
         assert rep.lhs > 0.0
         assert rep.satisfied
+
+    @pytest.mark.parametrize(
+        "event",
+        [
+            lambda reps: True,
+            lambda reps: np.ones(len(reps.n1)),
+            lambda reps: np.ones(len(reps.n1) + 1, dtype=bool),
+            lambda reps: [True] * len(reps.n1),
+        ],
+        ids=["scalar", "float-mask", "wrong-length", "list"],
+    )
+    def test_event_must_return_a_boolean_mask_per_replication(self, event):
+        base = Instance(Marginal.gaussian(0.2, 1.0), Marginal.gaussian(0.0, 1.0))
+        with pytest.raises(ValueError, match="event"):
+            check_transportation(base, base, Uniform(), T=20, R=50, seed=3, event=event)
+
+    def test_custom_event_is_counted_per_replication(self):
+        base = Instance(Marginal.gaussian(0.2, 1.0), Marginal.gaussian(0.0, 1.0))
+        default = check_transportation(base, base, Uniform(), T=20, R=400, seed=3)
+        flipped = check_transportation(
+            base, base, Uniform(), T=20, R=400, seed=3,
+            event=lambda reps: reps.recommended == 2,
+        )
+        assert 0.0 < default.p_baseline < 1.0
+        assert flipped.p_baseline == pytest.approx(1.0 - default.p_baseline, abs=1e-15)
 
     def test_confusable_pair_satisfies_the_inequality(self):
         base = Instance(Marginal.gaussian(0.01, 1.0), Marginal.gaussian(0.0, 1.0))
