@@ -8,7 +8,9 @@ or JSON rows sharing one column set across subcommands. Logs go to
 standard error, results to --out or standard output.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 I/O error.
+3 I/O error. A Monte Carlo run whose sample-mean estimator never observes
+an arm in some replication (possible at small budgets) has no defined
+result and is reported as a configuration error naming the arm.
 """
 
 from __future__ import annotations
@@ -25,13 +27,14 @@ import jsonschema
 
 from .distributions import Instance, Marginal
 from .engine import (
+    _SEED_LIMIT,
     DEFAULT_GRID,
     TrialConfig,
     consistency_curve,
     run_monte_carlo,
     sweep_worst_case,
 )
-from .policies import Policy, policy_from_config, policy_name
+from .policies import Policy, policy_from_config, policy_to_config
 from .theory import misid_upper_bound, regret_upper_bound_curve, worst_case_gap
 from .verification import run_all
 
@@ -42,7 +45,6 @@ EXIT_IO = 3
 
 ENV_SEED = "NEYMAN_BAI_SEED"
 DEFAULT_SEED = 42
-_SEED_LIMIT = 1 << 64
 
 COLUMNS = (
     "kind", "T", "R", "policy", "estimator", "sigma1", "sigma2",
@@ -57,6 +59,19 @@ class ConfigError(Exception):
 
 def _log(message: str) -> None:
     print(message, file=sys.stderr)
+
+
+def _is_integer(checker, instance) -> bool:
+    # jsonschema's default also accepts 7.0; the engine needs Python ints.
+    return isinstance(instance, int) and not isinstance(instance, bool)
+
+
+_ConfigValidator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", _is_integer
+    ),
+)
 
 
 def _schema(name: str) -> dict:
@@ -74,7 +89,7 @@ def parse_config(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    validator = jsonschema.Draft202012Validator(_schema("config.schema.json"))
+    validator = _ConfigValidator(_schema("config.schema.json"))
     errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
     if errors:
         err = errors[0]
@@ -181,15 +196,13 @@ def _build_policy(cfg: dict, fallback_sigmas: tuple[float, float]) -> Policy:
         raise ConfigError(f"config key 'policy': {exc}") from exc
 
 
-def _mc_row(
-    kind: str, cfg: TrialConfig, R: int, report, seed: int, x: float | None
-) -> dict:
+def _mc_row(kind: str, cfg: TrialConfig, report, x: float | None) -> dict:
     inst = cfg.instance
     return {
         "kind": kind,
         "T": cfg.T,
-        "R": R,
-        "policy": policy_name(cfg.policy),
+        "R": report.R,
+        "policy": policy_to_config(cfg.policy)["kind"],
         "estimator": cfg.estimator,
         "sigma1": inst.arm1.sd,
         "sigma2": inst.arm2.sd,
@@ -203,7 +216,7 @@ def _mc_row(
         "regret_se": report.regret_se,
         "scaled_regret": report.scaled_regret,
         "n1_frac": report.mean_alloc_frac[0],
-        "seed": seed,
+        "seed": cfg.seed,
     }
 
 
@@ -259,11 +272,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     estimator = cfg.get("estimator", "aipw")
     trial = TrialConfig(inst, cfg["T"], policy, estimator, seed)
     _log(
-        f"run: T={trial.T} R={R} policy={policy_name(policy)} "
+        f"run: T={trial.T} R={R} policy={cfg['policy']['kind']} "
         f"estimator={estimator} seed={seed}"
     )
-    report = run_monte_carlo(trial, R, threads)
-    return _emit_command([_mc_row("run", trial, R, report, seed, None)], args)
+    try:
+        report = run_monte_carlo(trial, R, threads)
+    except ValueError as exc:  # an arm the sample-mean estimator never observed
+        raise ConfigError(str(exc)) from exc
+    return _emit_command([_mc_row("run", trial, report, None)], args)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -278,18 +294,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     T = cfg["T"]
     _log(
         f"sweep: {len(grid)} points, T={T} R={R} sigmas=({s1:g},{s2:g}) "
-        f"policy={policy_name(policy)} estimator={estimator} seed={seed}"
+        f"policy={cfg['policy']['kind']} estimator={estimator} seed={seed}"
     )
-    result = sweep_worst_case(
-        (s1, s2), T, policy, estimator, R=R, seed=seed, grid=grid, threads=threads
-    )
-    rows = []
-    for point in result.points:
-        inst = Instance(
-            Marginal.gaussian(point.gap, s1 * s1), Marginal.gaussian(0.0, s2 * s2)
+    try:
+        result = sweep_worst_case(
+            (s1, s2), T, policy, estimator, R=R, seed=seed, grid=grid, threads=threads
         )
-        trial = TrialConfig(inst, T, policy, estimator, seed)
-        rows.append(_mc_row("sweep", trial, R, point.report, seed, point.x))
+    except ValueError as exc:  # an arm the sample-mean estimator never observed
+        raise ConfigError(str(exc)) from exc
+    rows = [_mc_row("sweep", p.cfg, p.report, p.x) for p in result.points]
     return _emit_command(rows, args)
 
 
@@ -303,16 +316,16 @@ def _cmd_consistency(args: argparse.Namespace) -> int:
     estimator = cfg.get("estimator", "aipw")
     budgets = cfg["budgets"]
     _log(
-        f"consistency: budgets={budgets} R={R} policy={policy_name(policy)} "
+        f"consistency: budgets={budgets} R={R} policy={cfg['policy']['kind']} "
         f"estimator={estimator} seed={seed}"
     )
-    curve = consistency_curve(
-        inst, budgets, policy, estimator, R=R, seed=seed, threads=threads
-    )
-    rows = []
-    for point in curve:
-        trial = TrialConfig(inst, point.T, policy, estimator, seed)
-        rows.append(_mc_row("consistency", trial, R, point.report, seed, None))
+    try:
+        curve = consistency_curve(
+            inst, budgets, policy, estimator, R=R, seed=seed, threads=threads
+        )
+    except ValueError as exc:  # an arm the sample-mean estimator never observed
+        raise ConfigError(str(exc)) from exc
+    rows = [_mc_row("consistency", p.cfg, p.report, None) for p in curve]
     return _emit_command(rows, args)
 
 

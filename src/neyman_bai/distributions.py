@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import RngState
-
 
 class Family(str, enum.Enum):
     GAUSSIAN = "gaussian"
@@ -72,26 +70,16 @@ class Marginal:
     def sd(self) -> float:
         return math.sqrt(self.variance)
 
-    def draw(self, gen: np.random.Generator, size: int | None = None):
-        """Draw outcomes using an externally managed generator.
+    def draw(self, gen: np.random.Generator, size: int) -> np.ndarray:
+        """Draw `size` outcomes using an externally managed generator.
 
-        Batch draws consume the stream exactly like repeated scalar draws,
-        so prefixes of a batch match shorter batches from the same stream.
+        `size` is required. Batch draws consume the stream exactly like
+        repeated scalar draws, so prefixes of a batch match shorter batches
+        from the same stream.
         """
         if self.family is Family.GAUSSIAN:
             return self.mean + self.sd * gen.standard_normal(size)
-        if size is None:
-            return np.float64(gen.random() < self.mean)
         return (gen.random(size) < self.mean).astype(np.float64)
-
-
-def sample(m: Marginal, rng: RngState) -> tuple[float, RngState]:
-    """One outcome draw, returning the advanced rng state.
-
-    Deterministic given (rng.seed, rng.stream, rng.index); two calls with
-    identical states return identical outcomes.
-    """
-    return float(m.draw(rng.generator())), rng.advance()
 
 
 def kl_divergence(p: Marginal, q: Marginal) -> float:
@@ -134,13 +122,6 @@ class Instance:
 
     arm1: Marginal
     arm2: Marginal
-
-    def arm(self, a: int) -> Marginal:
-        if a == 1:
-            return self.arm1
-        if a == 2:
-            return self.arm2
-        raise ValueError(f"arm must be 1 or 2, got {a}")
 
     @property
     def means(self) -> tuple[float, float]:

@@ -51,6 +51,15 @@ DEFAULT_GRID = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 3.0)
 # around 128 MB; threads share the budget.
 _CHUNK_CELLS = 16_000_000
 
+# Stream keys keep a seed's low 64 bits, so a wider seed would alias another.
+_SEED_LIMIT = 1 << 64
+
+
+def _require_int(name: str, value) -> None:
+    # Python ints only: a numpy seed would overflow the 64-bit key masking.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer (a Python int), got {value!r}")
+
 
 @dataclass(frozen=True)
 class TrialConfig:
@@ -64,12 +73,16 @@ class TrialConfig:
     replication: int = 0
 
     def __post_init__(self) -> None:
+        _require_int("T", self.T)
+        _require_int("seed", self.seed)
         if self.T < 2:
             raise ValueError(f"budget T must be >= 2, got {self.T}")
         if self.estimator not in ESTIMATOR_KINDS:
             raise ValueError(
                 f"unknown estimator {self.estimator!r} (expected one of {ESTIMATOR_KINDS})"
             )
+        if not 0 <= self.seed < _SEED_LIMIT:
+            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -78,7 +91,6 @@ class TrialResult:
     counts: tuple[int, int]
     mu_hat: tuple[float, float]
     correct: bool
-    regret_realized: float
 
 
 @dataclass(frozen=True)
@@ -165,9 +177,7 @@ def simulate_rounds(
 
     est = ESTIMATORS[estimator](records, T)
     rec = recommend(est)
-    correct = rec == best_arm(instance)
-    regret = 0.0 if correct else instance.gap
-    result = TrialResult(rec, state.counts, est.mu_hat, correct, regret)
+    result = TrialResult(rec, state.counts, est.mu_hat, rec == best_arm(instance))
     return records, result
 
 
@@ -311,7 +321,7 @@ def _kernel_block(cut: int, w_target: float, estimator: str, y1, y2):
 
 
 def _chunk_ranges(R: int, T: int, threads: int) -> list[tuple[int, int]]:
-    per_chunk = max(1, _CHUNK_CELLS // max(T, 1) // max(threads, 1))
+    per_chunk = max(1, _CHUNK_CELLS // T // threads)
     return [(lo, min(lo + per_chunk, R)) for lo in range(0, R, per_chunk)]
 
 
@@ -323,8 +333,12 @@ def replicate(cfg: TrialConfig, R: int, threads: int = 1) -> Replications:
     run_trial(replace(cfg, replication=i)) exactly. Results do not depend
     on chunk boundaries or on `threads`.
     """
+    _require_int("R", R)
+    _require_int("threads", threads)
     if R < 1:
         raise ValueError(f"R must be >= 1, got {R}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     n1 = np.empty(R, dtype=np.int64)
     mu_hat = np.empty((R, 2))
     adaptive = isinstance(cfg.policy, AdaptiveNeyman)
@@ -378,8 +392,10 @@ def run_monte_carlo(cfg: TrialConfig, R: int, threads: int = 1) -> MCReport:
 
 @dataclass(frozen=True)
 class SweepPoint:
+    """One grid multiplier x, the configuration it ran and its report."""
+
     x: float
-    gap: float
+    cfg: TrialConfig
     report: MCReport
 
 
@@ -432,15 +448,15 @@ def sweep_worst_case(
             Marginal.gaussian(0.0, s2 * s2),
         )
         cfg = TrialConfig(inst, T, policy, estimator, seed)
-        points.append(SweepPoint(float(x), gap, run_monte_carlo(cfg, R, threads)))
+        points.append(SweepPoint(float(x), cfg, run_monte_carlo(cfg, R, threads)))
     return SweepResult((s1, s2), T, tuple(points))
 
 
 @dataclass(frozen=True)
 class ConsistencyPoint:
-    T: int
-    misid_prob: float
-    misid_se: float
+    """One budget's configuration (cfg.T is the budget) and its report."""
+
+    cfg: TrialConfig
     report: MCReport
 
 
@@ -464,7 +480,6 @@ def consistency_curve(
         raise ValueError("budgets must be non-empty")
     out = []
     for T in budgets:
-        cfg = TrialConfig(instance, int(T), policy, estimator, seed)
-        rep = run_monte_carlo(cfg, R, threads)
-        out.append(ConsistencyPoint(int(T), rep.misid_prob, rep.misid_se, rep))
+        cfg = TrialConfig(instance, T, policy, estimator, seed)
+        out.append(ConsistencyPoint(cfg, run_monte_carlo(cfg, R, threads)))
     return out

@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .rng import RngState, uniform
-
 
 @dataclass(frozen=True)
 class AdaptiveNeyman:
@@ -69,12 +67,10 @@ class AllocationState:
 
     Holds, per arm: observation count n(a), running mean, and m2(a), the
     sum of squared deviations from the running mean (so m2/n is the
-    population variance). The round index t starts at 1 and satisfies
-    n(1) + n(2) == t - 1 at the start of round t. States are immutable;
-    `update` returns the successor state.
+    population variance); n(1) + n(2) rounds have been played. States are
+    immutable; `update` returns the successor state.
     """
 
-    t: int = 1
     counts: tuple[int, int] = (0, 0)
     means: tuple[float, float] = (0.0, 0.0)
     m2: tuple[float, float] = (0.0, 0.0)
@@ -107,7 +103,7 @@ def update(state: AllocationState, a: int, y: float) -> AllocationState:
     counts[i] = n
     means[i] = mean
     m2s[i] = m2
-    return AllocationState(state.t + 1, tuple(counts), tuple(means), tuple(m2s))
+    return AllocationState(tuple(counts), tuple(means), tuple(m2s))
 
 
 def variance_estimate(state: AllocationState, a: int, eta: float) -> float:
@@ -135,7 +131,7 @@ def allocation_probability(state: AllocationState, policy: Policy) -> float:
     AIPW/IPW estimators use on their rounds.
     """
     if isinstance(policy, AdaptiveNeyman):
-        if state.t == 1:
+        if state.counts == (0, 0):
             return 0.5
         s1 = math.sqrt(variance_estimate(state, 1, policy.eta))
         s2 = math.sqrt(variance_estimate(state, 2, policy.eta))
@@ -158,21 +154,6 @@ def block_cut(policy: Policy, T: int) -> int | None:
     if isinstance(policy, OracleNeyman):
         return int(math.floor(T * policy.target_fraction + 0.5))
     return None
-
-
-def select_arm(
-    state: AllocationState, policy: Policy, T: int, rng: RngState
-) -> tuple[int, RngState]:
-    """Choose the arm for the current round.
-
-    AdaptiveNeyman draws Bernoulli(allocation_probability) from the given
-    rng state; block policies ignore the rng and follow their schedule.
-    """
-    cut = block_cut(policy, T)
-    if cut is None:
-        u, rng = uniform(rng)
-        return (1 if u < allocation_probability(state, policy) else 2), rng
-    return (1 if state.t <= cut else 2), rng
 
 
 def policy_to_config(policy: Policy) -> dict:
@@ -205,11 +186,3 @@ def policy_from_config(cfg: dict) -> Policy:
             raise ValueError(f"unknown policy keys for uniform: {sorted(extra)}")
         return Uniform()
     raise ValueError(f"unknown policy kind {kind!r} (expected one of {POLICY_KINDS})")
-
-
-def policy_name(policy: Policy) -> str:
-    if isinstance(policy, AdaptiveNeyman):
-        return "adaptive_neyman"
-    if isinstance(policy, OracleNeyman):
-        return "oracle_neyman"
-    return "uniform"

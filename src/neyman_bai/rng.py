@@ -9,8 +9,6 @@ with no shared mutable state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -20,9 +18,8 @@ def _key(seed: int, stream: int) -> list[int]:
     return [seed & _MASK64, stream & _MASK64]
 
 
-def _philox(seed: int, stream: int, counter: int = 0) -> np.random.Philox:
-    key = np.array(_key(seed, stream), dtype=np.uint64)
-    return np.random.Philox(key=key, counter=counter)
+def _philox(seed: int, stream: int) -> np.random.Philox:
+    return np.random.Philox(key=np.array(_key(seed, stream), dtype=np.uint64))
 
 
 def spawn(seed: int, stream: int = 0) -> np.random.Generator:
@@ -52,38 +49,3 @@ def restart(gen: np.random.Generator, seed: int, stream: int) -> None:
         "has_uint32": 0,
         "uinteger": 0,
     }
-
-
-@dataclass(frozen=True)
-class RngState:
-    """Immutable position inside one random stream.
-
-    Supports a functional draw style: operations take an RngState and
-    return the drawn value together with the advanced state. Each index
-    addresses its own disjoint Philox counter range (stride 2**64 blocks),
-    so draws at different indices never overlap and may be evaluated in
-    any order.
-    """
-
-    seed: int
-    stream: int = 0
-    index: int = 0
-
-    def generator(self) -> np.random.Generator:
-        """Fresh generator for this state's counter block."""
-        return np.random.Generator(
-            _philox(self.seed, self.stream, (self.index & _MASK64) << 64)
-        )
-
-    def split(self, stream: int) -> "RngState":
-        """Sibling stream under the same seed, starting at index 0."""
-        return RngState(self.seed, stream, 0)
-
-    def advance(self) -> "RngState":
-        """State pointing at the next draw index."""
-        return replace(self, index=self.index + 1)
-
-
-def uniform(rng: RngState) -> tuple[float, RngState]:
-    """One uniform draw on [0, 1) and the advanced state."""
-    return float(rng.generator().random()), rng.advance()

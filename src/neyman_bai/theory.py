@@ -19,20 +19,6 @@ from .engine import Replications, TrialConfig, replicate
 from .policies import Policy
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """A named bound evaluation with its inputs echoed back.
-
-    `formula` is a human-readable rendering of the expression that
-    produced `value`, for logs and serialized output.
-    """
-
-    name: str
-    value: float
-    inputs: dict[str, float]
-    formula: str
-
-
 def _require_sigmas(sigma1: float, sigma2: float) -> None:
     if sigma1 <= 0.0 or sigma2 <= 0.0:
         raise ValueError(
@@ -230,22 +216,4 @@ def bernoulli_constants() -> BernoulliConstants:
     return BernoulliConstants(
         stated=2.0 * math.sqrt(5.0 / math.e),
         variance_capped=minimax_lower_bound_constant(0.5, 0.5),
-    )
-
-
-def misid_bound_report(sigma1: float, sigma2: float, gap: float, T: int) -> BoundReport:
-    return BoundReport(
-        name="misid_upper_bound",
-        value=misid_upper_bound(sigma1, sigma2, gap, T),
-        inputs={"sigma1": sigma1, "sigma2": sigma2, "gap": gap, "T": float(T)},
-        formula="min(1, exp(-T*gap^2 / (2*(sigma1+sigma2)^2)))",
-    )
-
-
-def regret_bound_report(sigma1: float, sigma2: float, gap: float, T: int) -> BoundReport:
-    return BoundReport(
-        name="regret_upper_bound",
-        value=regret_upper_bound_curve(sigma1, sigma2, T, gap),
-        inputs={"sigma1": sigma1, "sigma2": sigma2, "gap": gap, "T": float(T)},
-        formula="gap * min(1, exp(-T*gap^2 / (2*(sigma1+sigma2)^2)))",
     )

@@ -175,7 +175,7 @@ def check_consistency(seed: int = 42, threads: int = 1) -> CheckResult:
     curve = consistency_curve(
         inst, [200, 2_000], AdaptiveNeyman(), "aipw", R=10_000, seed=seed, threads=threads
     )
-    small, large = curve
+    small, large = (p.report for p in curve)
     sep = small.misid_prob - large.misid_prob
     se = math.sqrt(small.misid_se**2 + large.misid_se**2)
     tail_max = THRESHOLDS["consistency_tail_max"]

@@ -1,7 +1,11 @@
 """Command-line behavior: formats, exit codes, seed precedence, verify wiring."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -237,6 +241,57 @@ class TestConfigErrors:
         cfg = _write_config(tmp_path, doc)
         assert main(["run", "--config", cfg]) == 2
         assert ENV_SEED in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["T", "R", "seed", "threads"])
+    def test_whole_float_for_an_integer_key(self, tmp_path, capsys, key):
+        """JSON 2.0 is a number, not an integer, whatever its fraction."""
+        cfg = _write_config(tmp_path, {**RUN_CONFIG, key: 2.0})
+        assert main(["run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"config key '{key}'" in err and "'integer'" in err
+
+    def test_whole_float_budget_is_located(self, tmp_path, capsys):
+        doc = {
+            "instance": RUN_CONFIG["instance"],
+            "budgets": [20, 40.0],
+            "policy": {"kind": "uniform"},
+            "R": 5,
+        }
+        cfg = _write_config(tmp_path, doc)
+        assert main(["consistency", "--config", cfg]) == 2
+        assert "config key 'budgets/1'" in capsys.readouterr().err
+
+
+STARVED = {
+    "policy": {"kind": "adaptive_neyman"},
+    "estimator": "sample_mean",
+    "R": 40,
+    "seed": 7,
+}
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("run", {**STARVED, "instance": RUN_CONFIG["instance"], "T": 10}),
+        ("sweep", {**STARVED, "sigmas": [1.0, 1.0], "T": 10}),
+        ("consistency", {**STARVED, "instance": RUN_CONFIG["instance"], "budgets": [10, 20]}),
+    ],
+)
+def test_starved_arm_is_a_config_error(tmp_path, command, doc):
+    """At T=10 the adaptive policy leaves some replication without an arm-1
+    pull, so its sample mean is undefined: one error line, exit code 2."""
+    cfg = _write_config(tmp_path, doc)
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "neyman_bai.cli", command, "--config", cfg],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "error: arm 1 was never observed" in proc.stderr
 
 
 def test_unwritable_out_path_is_an_io_error(tmp_path, capsys):

@@ -19,6 +19,7 @@ from neyman_bai.engine import (
     replicate,
     run_monte_carlo,
     run_trial,
+    run_trial_records,
     sweep_worst_case,
 )
 from neyman_bai.policies import AdaptiveNeyman, OracleNeyman, Uniform
@@ -181,8 +182,10 @@ class TestStreamIdentity:
 
 class TestBlockSchedules:
     def test_uniform_even_budget_splits_exactly(self):
-        res = run_trial(TrialConfig(GAUSS, 10, Uniform(), "sample_mean", seed=0))
+        cfg = TrialConfig(GAUSS, 10, Uniform(), "sample_mean", seed=0)
+        records, res = run_trial_records(cfg)
         assert res.counts == (5, 5)
+        assert [r.arm for r in records] == [1] * 5 + [2] * 5
 
     def test_uniform_odd_budget_gives_extra_round_to_arm_one(self):
         res = run_trial(TrialConfig(GAUSS, 11, Uniform(), "sample_mean", seed=0))
@@ -234,18 +237,15 @@ class TestSweep:
         scale = 3.0 / math.sqrt(100)
         for p, x in zip(res.points, DEFAULT_GRID):
             assert p.x == x
-            assert p.gap == x * scale
+            assert p.cfg.instance.gap == x * scale
             assert p.report.R == 50
 
     def test_max_point_prefers_first_on_ties(self):
-        def rep(sr):
-            return MCReport(1, 0.0, 0.0, 0.0, 0.0, sr, 0.5)
+        def point(x, sr):
+            cfg = TrialConfig(GAUSS, 100, Uniform(), "aipw")
+            return SweepPoint(x, cfg, MCReport(1, 0.0, 0.0, 0.0, 0.0, sr, 0.5))
 
-        pts = (
-            SweepPoint(0.5, 0.05, rep(1.0)),
-            SweepPoint(1.0, 0.10, rep(2.0)),
-            SweepPoint(1.5, 0.15, rep(2.0)),
-        )
+        pts = (point(0.5, 1.0), point(1.0, 2.0), point(1.5, 2.0))
         assert SweepResult((1.0, 1.0), 100, pts).max_point is pts[1]
 
     def test_rejects_bad_inputs(self):
@@ -261,15 +261,15 @@ class TestConsistencyCurve:
     def test_budgets_produce_one_point_each(self):
         inst = Instance(Marginal.gaussian(0.5, 1.0), Marginal.gaussian(0.0, 1.0))
         pts = consistency_curve(inst, [20, 40], Uniform(), "sample_mean", R=200, seed=1)
-        assert [p.T for p in pts] == [20, 40]
+        assert [p.cfg.T for p in pts] == [20, 40]
         for p in pts:
-            assert p.misid_prob == p.report.misid_prob
-            assert 0.0 <= p.misid_prob <= 1.0
+            assert p.cfg.instance is inst
+            assert 0.0 <= p.report.misid_prob <= 1.0
 
     def test_zero_gap_instance_is_allowed(self):
         inst = Instance(Marginal.gaussian(0.0, 1.0), Marginal.gaussian(0.0, 1.0))
         pts = consistency_curve(inst, [30], Uniform(), "sample_mean", R=500, seed=1)
-        assert abs(pts[0].misid_prob - 0.5) < 0.2
+        assert abs(pts[0].report.misid_prob - 0.5) < 0.2
 
     def test_empty_budgets_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -284,3 +284,41 @@ class TestTrialConfigValidation:
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ValueError, match="estimator"):
             TrialConfig(GAUSS, 10, Uniform(), "winsorized")
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        """The stream key keeps 64 bits, so seed -1 would run seed 2**64-1."""
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^64\)"):
+            TrialConfig(GAUSS, 10, Uniform(), "aipw", seed=seed)
+
+    def test_largest_seed_accepted(self):
+        TrialConfig(GAUSS, 10, Uniform(), "aipw", seed=2**64 - 1)
+
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        [
+            ("T", {"T": 20.0}),
+            ("T", {"T": True}),
+            ("seed", {"seed": 7.0}),
+            ("seed", {"seed": True}),
+            ("seed", {"seed": np.int64(3)}),
+        ],
+    )
+    def test_non_integer_rejected(self, field, kwargs):
+        cfg = {"instance": GAUSS, "T": 10, "policy": Uniform(), **kwargs}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            TrialConfig(**cfg)
+
+
+class TestReplicateValidation:
+    CFG = TrialConfig(GAUSS, 10, Uniform(), "aipw")
+
+    @pytest.mark.parametrize("R", [10.0, True])
+    def test_non_integer_reps_rejected(self, R):
+        with pytest.raises(ValueError, match="R must be an integer"):
+            replicate(self.CFG, R)
+
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            replicate(self.CFG, 5, threads=threads)

@@ -17,11 +17,10 @@ from neyman_bai.policies import (
     block_cut,
     policy_from_config,
     policy_to_config,
-    select_arm,
     update,
     variance_estimate,
 )
-from neyman_bai.rng import RngState, spawn
+from neyman_bai.rng import spawn
 
 
 def _feed(values, arm=1):
@@ -34,7 +33,6 @@ def _feed(values, arm=1):
 class TestAllocationState:
     def test_initial(self):
         s = AllocationState()
-        assert s.t == 1
         assert s.counts == (0, 0)
         assert s.means == (0.0, 0.0)
 
@@ -43,7 +41,6 @@ class TestAllocationState:
         s = update(s, 1, 2.0)
         s = update(s, 2, -1.0)
         s = update(s, 1, 4.0)
-        assert s.t == 4
         assert s.counts == (2, 1)
         assert s.mean(1) == 3.0
         assert s.mean(2) == -1.0
@@ -170,37 +167,6 @@ class TestBlockPolicies:
 
     def test_block_cut_adaptive_is_none(self):
         assert block_cut(AdaptiveNeyman(), 10) is None
-
-    def test_uniform_schedule_first_half_then_second(self):
-        T = 10
-        state = AllocationState()
-        rng = RngState(0, 0)
-        arms = []
-        for _ in range(T):
-            arm, rng = select_arm(state, Uniform(), T, rng)
-            arms.append(arm)
-            state = update(state, arm, 0.0)
-        assert arms == [1] * 5 + [2] * 5
-
-    def test_oracle_schedule_counts_match_target(self):
-        T = 100
-        pol = OracleNeyman(1.0, 2.0)
-        state = AllocationState()
-        rng = RngState(0, 0)
-        n1 = 0
-        for _ in range(T):
-            arm, rng = select_arm(state, pol, T, rng)
-            if arm == 1:
-                n1 += 1
-            state = update(state, arm, 0.0)
-        assert abs(n1 - T * pol.target_fraction) <= 1.0
-
-    def test_select_arm_adaptive_consumes_rng(self):
-        state = AllocationState()
-        rng = RngState(42, 0)
-        arm, rng2 = select_arm(state, AdaptiveNeyman(), 10, rng)
-        assert arm in (1, 2)
-        assert rng2.index == rng.index + 1
 
 
 class TestPolicyConfig:

@@ -8,7 +8,7 @@ sits on top of these.
 import numpy as np
 import pytest
 
-from neyman_bai.rng import RngState, restart, spawn, uniform
+from neyman_bai.rng import restart, spawn
 
 PINNED_UNIFORMS_42_0 = [0.8201981478608876, 0.18924562408645496, 0.8676608148821462]
 PINNED_NORMALS_42_0 = [0.3375714466967798, -0.7821534784435413, -0.3160252007782352]
@@ -51,48 +51,6 @@ def test_batch_equals_sequential_scalar_draws():
     batch_n = spawn(99, 3).standard_normal(16)
     gen = spawn(99, 3)
     np.testing.assert_array_equal([gen.standard_normal() for _ in range(16)], batch_n)
-
-
-def test_state_draws_are_deterministic():
-    r0 = RngState(42, 0)
-    d0a, r1a = uniform(r0)
-    d0b, r1b = uniform(r0)
-    assert d0a == d0b
-    assert r1a == r1b
-    assert r1a.index == 1
-    d1, r2 = uniform(r1a)
-    assert d1 != d0a
-    assert r2.index == 2
-    assert 0.0 <= d0a < 1.0 and 0.0 <= d1 < 1.0
-
-
-def test_state_first_draw_matches_stream_start():
-    d0, _ = uniform(RngState(42, 0))
-    assert d0 == PINNED_UNIFORMS_42_0[0]
-
-
-def test_split_matches_spawn_stream():
-    r = RngState(7, 0)
-    child = r.split(5)
-    assert child.stream == 5
-    assert child.index == 0
-    d, _ = uniform(child)
-    assert d == spawn(7, 5).random()
-
-
-def test_split_streams_do_not_collide():
-    r = RngState(7, 0)
-    draws = set()
-    for stream in range(20):
-        d, _ = uniform(r.split(stream))
-        draws.add(d)
-    assert len(draws) == 20
-
-
-def test_state_is_immutable():
-    r = RngState(1, 2, 3)
-    with pytest.raises(AttributeError):
-        r.index = 4
 
 
 def test_large_seed_and_stream_are_masked_consistently():

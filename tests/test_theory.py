@@ -237,5 +237,5 @@ def test_misid_bound_dominates_an_oracle_simulation():
         (1.0, 1.0), 400, OracleNeyman(1.0, 1.0), "sample_mean", R=2000, seed=13
     )
     for p in res.points:
-        bound = misid_upper_bound(1.0, 1.0, p.gap, 400)
+        bound = misid_upper_bound(1.0, 1.0, p.cfg.instance.gap, 400)
         assert bound >= p.report.misid_prob - 3.0 * p.report.misid_se
