@@ -30,7 +30,6 @@ from .engine import (
     sweep_worst_case,
 )
 from .estimators import (
-    EstimatorOutput,
     RoundRecord,
     aipw_estimate,
     ipw_estimate,
@@ -65,7 +64,7 @@ from .theory import (
     worst_case_gap,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "AdaptiveNeyman",
@@ -73,7 +72,6 @@ __all__ = [
     "BernoulliConstants",
     "ConsistencyPoint",
     "DEFAULT_GRID",
-    "EstimatorOutput",
     "Family",
     "Instance",
     "MCReport",

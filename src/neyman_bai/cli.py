@@ -74,6 +74,15 @@ _ConfigValidator = jsonschema.validators.extend(
 )
 
 
+def _finite(literal: str) -> float:
+    # json.loads takes NaN and Infinity literals and overflows 1e999 to inf,
+    # and the schema's bounds do not catch NaN, so they are rejected here.
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ConfigError(f"config number {literal} is not finite")
+    return value
+
+
 def _schema(name: str) -> dict:
     text = resources.files("neyman_bai.schemas").joinpath(name).read_text("utf-8")
     return json.loads(text)
@@ -83,10 +92,11 @@ def parse_config(text: str) -> dict:
     """Parse and strictly validate a configuration document.
 
     Returns the validated mapping; raises ConfigError naming the offending
-    key on any schema violation, including unknown keys.
+    key on any schema violation, including unknown keys, or naming a
+    non-finite number (NaN, Infinity, -Infinity, or one that overflows).
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_finite, parse_float=_finite)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     validator = _ConfigValidator(_schema("config.schema.json"))

@@ -1,18 +1,18 @@
 """Trial execution and Monte Carlo aggregation.
 
-Determinism contract. Replication i of a run with master seed s owns three
-dedicated streams under s: arm-1 outcomes (stream 4i), arm-2 outcomes
-(4i+1), and selection uniforms (4i+2). Both arms' potential outcomes are
-drawn up front for every round (the policy merely decides which column is
-observed), so a trial's random inputs are a pure function of (seed,
-replication) and never depend on the policy's path. A chunk opens its
-first stream with rng.spawn and every later one by re-keying that same
-generator with rng.restart; the draws are identical to a fresh spawn per
-stream, so the stream layout alone fixes the tables. run_trial walks these
-tables with a readable scalar loop; run_monte_carlo runs the same
-arithmetic vectorized across replications in fixed-size chunks. The two
-paths produce bit-identical results, replication by replication, and the
-aggregate is independent of chunking and thread count.
+Determinism contract: replicate(cfg, R)[i] == run_trial(cfg, i) for every
+replication index i, a Python int in [0, 2^62). Replication i of a run with
+master seed s owns three streams under s: arm-1 outcomes (stream 4i), arm-2
+outcomes (4i+1), and selection uniforms (4i+2); the bound keeps 4i+3 below
+2^64. Both arms' potential outcomes are drawn up front for every round (the
+policy merely decides which column is observed), so a trial's random inputs
+are a pure function of (seed, i) and never depend on the policy's path. A
+chunk opens its first stream with rng.spawn and every later one by
+re-keying that same generator with rng.restart; the draws are identical to
+a fresh spawn per stream, so the stream layout alone fixes the tables.
+run_trial walks these tables with a readable scalar loop; replicate runs
+the same arithmetic vectorized in fixed-size chunks, bit-identical to the
+scalar path and independent of chunking and thread count.
 
 Regret bookkeeping uses the two-arm identity: expected simple regret equals
 gap times misidentification probability, so the engine counts wrong
@@ -51,38 +51,38 @@ DEFAULT_GRID = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 3.0)
 # around 128 MB; threads share the budget.
 _CHUNK_CELLS = 16_000_000
 
-# Stream keys keep a seed's low 64 bits, so a wider seed would alias another.
+# Stream keys keep a seed's low 64 bits, so a wider seed would alias another;
+# replication i keys streams 4i..4i+3, so i stays below 2^62.
 _SEED_LIMIT = 1 << 64
 
 
-def _require_int(name: str, value) -> None:
+def _require_int(name: str, value, bits: int | None = None) -> None:
     # Python ints only: a numpy seed would overflow the 64-bit key masking.
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an integer (a Python int), got {value!r}")
+    if bits is not None and not 0 <= value < 1 << bits:
+        raise ValueError(f"{name} must lie in [0, 2^{bits}), got {value}")
 
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """Everything one trial needs; (seed, replication) fixes all randomness."""
+    """One configuration; its seed and a replication index fix all randomness."""
 
     instance: Instance
     T: int
     policy: Policy
     estimator: str = "aipw"
     seed: int = 42
-    replication: int = 0
 
     def __post_init__(self) -> None:
         _require_int("T", self.T)
-        _require_int("seed", self.seed)
+        _require_int("seed", self.seed, 64)
         if self.T < 2:
             raise ValueError(f"budget T must be >= 2, got {self.T}")
         if self.estimator not in ESTIMATOR_KINDS:
             raise ValueError(
                 f"unknown estimator {self.estimator!r} (expected one of {ESTIMATOR_KINDS})"
             )
-        if not 0 <= self.seed < _SEED_LIMIT:
-            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -175,24 +175,27 @@ def simulate_rounds(
         records.append(RoundRecord(t + 1, arm, y, w_used, state.means))
         state = update(state, arm, y)
 
-    est = ESTIMATORS[estimator](records, T)
-    rec = recommend(est)
-    result = TrialResult(rec, state.counts, est.mu_hat, rec == best_arm(instance))
+    mu_hat = ESTIMATORS[estimator](records, T)
+    rec = recommend(mu_hat)
+    result = TrialResult(rec, state.counts, mu_hat, rec == best_arm(instance))
     return records, result
 
 
-def run_trial_records(cfg: TrialConfig) -> tuple[list[RoundRecord], TrialResult]:
+def run_trial_records(
+    cfg: TrialConfig, replication: int = 0
+) -> tuple[list[RoundRecord], TrialResult]:
     """One trial, returning its per-round records alongside the result."""
-    y1, y2, u = _tables(cfg, cfg.replication, cfg.replication + 1)
+    _require_int("replication", replication, 62)
+    y1, y2, u = _tables(cfg, replication, replication + 1)
     return simulate_rounds(
         cfg.instance, cfg.T, cfg.policy, cfg.estimator,
         y1[0], y2[0], u[0] if u is not None else None,
     )
 
 
-def run_trial(cfg: TrialConfig) -> TrialResult:
-    """Allocation phase, then recommendation. Deterministic given cfg."""
-    return run_trial_records(cfg)[1]
+def run_trial(cfg: TrialConfig, replication: int = 0) -> TrialResult:
+    """Replication `replication` of cfg: allocation phase, then recommendation."""
+    return run_trial_records(cfg, replication)[1]
 
 
 def _kernel_adaptive(policy: AdaptiveNeyman, estimator: str, y1, y2, u):
@@ -200,7 +203,7 @@ def _kernel_adaptive(policy: AdaptiveNeyman, estimator: str, y1, y2, u):
 
     Mirrors simulate_rounds operation for operation (same divisions, same
     accumulation order over t), so each row equals the scalar path bit for
-    bit.
+    bit once replicate divides. Returns arm-1 counts and both accumulators.
     """
     B, T = y1.shape
     eta = policy.eta
@@ -251,17 +254,7 @@ def _kernel_adaptive(policy: AdaptiveNeyman, estimator: str, y1, y2, u):
         mean2 = np.where(notpick, mean2 + d2 / np.maximum(n2, 1.0), mean2)
         m2_2 = np.where(notpick, m2_2 + d2 * (y - mean2), m2_2)
 
-    if estimator == "sample_mean":
-        if (n1 == 0).any():
-            raise ValueError("arm 1 was never observed; its sample mean is undefined")
-        if (n2 == 0).any():
-            raise ValueError("arm 2 was never observed; its sample mean is undefined")
-        mu1 = acc1 / n1
-        mu2 = acc2 / n2
-    else:
-        mu1 = acc1 / T
-        mu2 = acc2 / T
-    return n1.astype(np.int64), mu1, mu2
+    return n1.astype(np.int64), acc1, acc2
 
 
 def _kernel_block(cut: int, w_target: float, estimator: str, y1, y2):
@@ -273,11 +266,6 @@ def _kernel_block(cut: int, w_target: float, estimator: str, y1, y2):
     B, T = y1.shape
     aipw = estimator == "aipw"
     ipw = estimator == "ipw"
-    if estimator == "sample_mean":
-        if cut == 0:
-            raise ValueError("arm 1 was never observed; its sample mean is undefined")
-        if cut == T:
-            raise ValueError("arm 2 was never observed; its sample mean is undefined")
     w1 = w_target
     w2 = 1.0 - w_target
 
@@ -310,14 +298,7 @@ def _kernel_block(cut: int, w_target: float, estimator: str, y1, y2):
             else:
                 acc2 += y
 
-    if estimator == "sample_mean":
-        mu1 = acc1 / cut
-        mu2 = acc2 / (T - cut)
-    else:
-        mu1 = acc1 / T
-        mu2 = acc2 / T
-    n1 = np.full(B, cut, dtype=np.int64)
-    return n1, mu1, mu2
+    return np.full(B, cut, dtype=np.int64), acc1, acc2
 
 
 def _chunk_ranges(R: int, T: int, threads: int) -> list[tuple[int, int]]:
@@ -328,10 +309,9 @@ def _chunk_ranges(R: int, T: int, threads: int) -> list[tuple[int, int]]:
 def replicate(cfg: TrialConfig, R: int, threads: int = 1) -> Replications:
     """Run replications 0..R-1 of cfg, vectorized, in replication order.
 
-    cfg.replication is ignored; replication i draws from the streams of
-    index i under cfg.seed, so element i reproduces
-    run_trial(replace(cfg, replication=i)) exactly. Results do not depend
-    on chunk boundaries or on `threads`.
+    Element i reproduces run_trial(cfg, i) exactly. Results, and the error
+    for an arm the sample-mean estimator never observed (naming the lowest
+    such replication, arm 1 first), do not depend on chunks or `threads`.
     """
     _require_int("R", R)
     _require_int("threads", threads)
@@ -340,7 +320,7 @@ def replicate(cfg: TrialConfig, R: int, threads: int = 1) -> Replications:
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     n1 = np.empty(R, dtype=np.int64)
-    mu_hat = np.empty((R, 2))
+    acc = np.empty((R, 2))
     adaptive = isinstance(cfg.policy, AdaptiveNeyman)
     cut = block_cut(cfg.policy, cfg.T)
     w_target = None if adaptive else allocation_probability(AllocationState(), cfg.policy)
@@ -349,12 +329,10 @@ def replicate(cfg: TrialConfig, R: int, threads: int = 1) -> Replications:
         lo, hi = bounds
         y1, y2, u = _tables(cfg, lo, hi)
         if adaptive:
-            part_n1, part_mu1, part_mu2 = _kernel_adaptive(cfg.policy, cfg.estimator, y1, y2, u)
+            part = _kernel_adaptive(cfg.policy, cfg.estimator, y1, y2, u)
         else:
-            part_n1, part_mu1, part_mu2 = _kernel_block(cut, w_target, cfg.estimator, y1, y2)
-        n1[lo:hi] = part_n1
-        mu_hat[lo:hi, 0] = part_mu1
-        mu_hat[lo:hi, 1] = part_mu2
+            part = _kernel_block(cut, w_target, cfg.estimator, y1, y2)
+        n1[lo:hi], acc[lo:hi, 0], acc[lo:hi, 1] = part
 
     ranges = _chunk_ranges(R, cfg.T, threads)
     if threads <= 1 or len(ranges) == 1:
@@ -364,6 +342,18 @@ def replicate(cfg: TrialConfig, R: int, threads: int = 1) -> Replications:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(work, ranges))
 
+    if cfg.estimator == "sample_mean":
+        counts = np.column_stack((n1, cfg.T - n1))
+        for arm in (1, 2):
+            starved = np.flatnonzero(counts[:, arm - 1] == 0)
+            if starved.size:
+                raise ValueError(
+                    f"arm {arm} was never observed in replication {starved[0]}; "
+                    "its sample mean is undefined"
+                )
+        mu_hat = acc / counts
+    else:
+        mu_hat = acc / cfg.T
     recommended = np.where(mu_hat[:, 0] >= mu_hat[:, 1], 1, 2)
     correct = recommended == best_arm(cfg.instance)
     return Replications(recommended, correct, n1, mu_hat)
@@ -408,11 +398,7 @@ class SweepResult:
     @property
     def max_point(self) -> SweepPoint:
         """Grid row attaining the largest scaled regret (first on ties)."""
-        best = self.points[0]
-        for p in self.points[1:]:
-            if p.report.scaled_regret > best.report.scaled_regret:
-                best = p
-        return best
+        return max(self.points, key=lambda p: p.report.scaled_regret)
 
 
 def sweep_worst_case(

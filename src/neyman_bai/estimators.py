@@ -1,7 +1,7 @@
 """Recommendation-phase mean estimators.
 
-All three estimators consume the per-round records a trial produced. The
-AIPW estimator is the primary one:
+All three estimators map a trial's per-round records to the pair
+(mu_hat(1), mu_hat(2)). The AIPW estimator is the primary one:
 
     mu_hat(a) = (1/T) * sum_t [ 1{A_t=a} (Y_t - mu_tilde_t(a)) / w_t(a)
                                 + mu_tilde_t(a) ]
@@ -41,12 +41,6 @@ class RoundRecord:
     mu_tilde_pre: tuple[float, float]
 
 
-@dataclass(frozen=True)
-class EstimatorOutput:
-    mu_hat: tuple[float, float]
-    kind: str
-
-
 def _check_records(records: Sequence[RoundRecord], T: int) -> None:
     if len(records) == 0:
         raise ValueError("cannot estimate from an empty record sequence")
@@ -54,7 +48,7 @@ def _check_records(records: Sequence[RoundRecord], T: int) -> None:
         raise ValueError(f"expected {T} records, got {len(records)}")
 
 
-def aipw_estimate(records: Sequence[RoundRecord], T: int) -> EstimatorOutput:
+def aipw_estimate(records: Sequence[RoundRecord], T: int) -> tuple[float, float]:
     """Augmented inverse-probability-weighted means for both arms."""
     _check_records(records, T)
     acc1 = 0.0
@@ -67,10 +61,10 @@ def aipw_estimate(records: Sequence[RoundRecord], T: int) -> EstimatorOutput:
         else:
             acc1 += m1
             acc2 += (r.outcome - m2) / r.w_used + m2
-    return EstimatorOutput((acc1 / T, acc2 / T), "aipw")
+    return acc1 / T, acc2 / T
 
 
-def ipw_estimate(records: Sequence[RoundRecord], T: int) -> EstimatorOutput:
+def ipw_estimate(records: Sequence[RoundRecord], T: int) -> tuple[float, float]:
     """Inverse-probability-weighted means, no augmentation term."""
     _check_records(records, T)
     acc1 = 0.0
@@ -80,10 +74,10 @@ def ipw_estimate(records: Sequence[RoundRecord], T: int) -> EstimatorOutput:
             acc1 += r.outcome / r.w_used
         else:
             acc2 += r.outcome / r.w_used
-    return EstimatorOutput((acc1 / T, acc2 / T), "ipw")
+    return acc1 / T, acc2 / T
 
 
-def sample_mean_estimate(records: Sequence[RoundRecord], T: int) -> EstimatorOutput:
+def sample_mean_estimate(records: Sequence[RoundRecord], T: int) -> tuple[float, float]:
     """Per-arm arithmetic means of the observed outcomes.
 
     Raises if an arm was never observed, in which case its mean is
@@ -104,7 +98,7 @@ def sample_mean_estimate(records: Sequence[RoundRecord], T: int) -> EstimatorOut
         raise ValueError("arm 1 was never observed; its sample mean is undefined")
     if n2 == 0:
         raise ValueError("arm 2 was never observed; its sample mean is undefined")
-    return EstimatorOutput((tot1 / n1, tot2 / n2), "sample_mean")
+    return tot1 / n1, tot2 / n2
 
 
 ESTIMATORS = {
@@ -116,13 +110,13 @@ ESTIMATORS = {
 ESTIMATOR_KINDS = tuple(ESTIMATORS)
 
 
-def recommend(est: EstimatorOutput) -> int:
+def recommend(mu_hat: tuple[float, float]) -> int:
     """Argmax of the estimated means; ties resolve to arm 1.
 
     The tie convention is arbitrary (a measure-zero event for continuous
     outcomes) but must be fixed for reproducibility.
     """
-    mu1, mu2 = est.mu_hat
+    mu1, mu2 = mu_hat
     return 1 if mu1 >= mu2 else 2
 
 

@@ -75,9 +75,6 @@ class AllocationState:
     means: tuple[float, float] = (0.0, 0.0)
     m2: tuple[float, float] = (0.0, 0.0)
 
-    def count(self, a: int) -> int:
-        return self.counts[a - 1]
-
     def mean(self, a: int) -> float:
         return self.means[a - 1]
 

@@ -121,11 +121,10 @@ def _event_frequency(
     R: int,
     seed: int,
     event: Callable[[Replications], np.ndarray],
-    estimator: str,
     threads: int,
 ) -> tuple[float, float, float, float]:
     """(event prob, its SE, mean N1, SE of mean N1) under one model."""
-    cfg = TrialConfig(instance, T, policy, estimator, seed)
+    cfg = TrialConfig(instance, T, policy, "sample_mean", seed)
     reps = replicate(cfg, R, threads)
     hit = event(reps)
     if not (isinstance(hit, np.ndarray) and hit.dtype == np.bool_ and hit.shape == (R,)):
@@ -149,17 +148,16 @@ def check_transportation(
     R: int,
     seed: int,
     event: Callable[[Replications], np.ndarray] | None = None,
-    estimator: str = "sample_mean",
     threads: int = 1,
 ) -> TransportReport:
     """Verify E[N1]*KL1 + E[N2]*KL2 >= d(P_base(event), P_alt(event)).
 
     Expected pull counts are taken under the baseline model; KLs are
     closed form per arm; event frequencies come from Monte Carlo under
-    both models with the same seed. `event` maps the R replications of
-    one model to a boolean array of shape (R,) marking the replications
-    in the event; anything else raises ValueError. The default event is
-    {recommended arm == 1}.
+    both models with the same seed and the sample-mean estimator. `event`
+    maps the R replications of one model to a boolean array of shape (R,)
+    marking the replications in the event; anything else raises
+    ValueError. The default event is {recommended arm == 1}.
     """
     kl1 = kl_divergence(baseline.arm1, alternative.arm1)
     kl2 = kl_divergence(baseline.arm2, alternative.arm2)
@@ -167,10 +165,10 @@ def check_transportation(
         event = lambda reps: reps.recommended == 1
 
     p, p_se, n1_mean, n1_mean_se = _event_frequency(
-        baseline, policy, T, R, seed, event, estimator, threads
+        baseline, policy, T, R, seed, event, threads
     )
     q, q_se, _, _ = _event_frequency(
-        alternative, policy, T, R, seed, event, estimator, threads
+        alternative, policy, T, R, seed, event, threads
     )
 
     lhs = n1_mean * kl1 + (T - n1_mean) * kl2

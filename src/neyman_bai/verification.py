@@ -101,13 +101,9 @@ def bound_sweep(seed: int = 42, threads: int = 1) -> SweepResult:
     )
 
 
-def check_regret_bound_non_violation(
-    seed: int = 42, threads: int = 1, sweep: SweepResult | None = None
-) -> CheckResult:
+def check_regret_bound_non_violation(sweep: SweepResult) -> CheckResult:
     """No sweep point's scaled regret exceeds (s1+s2)/sqrt(e) beyond SE slack."""
     t0 = perf_counter()
-    if sweep is None:
-        sweep = bound_sweep(seed, threads)
     s1, s2 = sweep.sigmas
     limit = minimax_lower_bound_constant(s1, s2)
     mult = THRESHOLDS["se_mult"]
@@ -142,13 +138,9 @@ def check_oracle_tail(seed: int = 42, threads: int = 1) -> CheckResult:
     return _finish("oracle_tail_probability", passed, detail, t0)
 
 
-def check_worst_case_maximizer(
-    seed: int = 42, threads: int = 1, sweep: SweepResult | None = None
-) -> CheckResult:
+def check_worst_case_maximizer(sweep: SweepResult) -> CheckResult:
     """The bound curve peaks where calculus says; the empirical peak is nearby."""
     t0 = perf_counter()
-    if sweep is None:
-        sweep = bound_sweep(seed, threads)
     s1, s2 = sweep.sigmas
     T = sweep.T
     gap_star = worst_case_gap(s1, s2, T)
@@ -261,10 +253,10 @@ def run_all(seed: int = 42, threads: int = 1) -> list[CheckResult]:
     t0 = perf_counter()
     sweep = bound_sweep(seed, threads)
     sweep_seconds = perf_counter() - t0
-    bound = check_regret_bound_non_violation(seed, threads, sweep=sweep)
+    bound = check_regret_bound_non_violation(sweep)
     results.append(replace(bound, seconds=bound.seconds + sweep_seconds))
     results.append(check_oracle_tail(seed, threads))
-    results.append(check_worst_case_maximizer(seed, threads, sweep=sweep))
+    results.append(check_worst_case_maximizer(sweep))
     results.append(check_consistency(seed, threads))
     results.append(check_transportation_inequality(seed, threads))
     results.append(check_kl_fisher(seed, threads))

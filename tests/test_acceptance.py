@@ -23,6 +23,8 @@ from neyman_bai.verification import (
     check_worst_case_maximizer,
 )
 
+pytestmark = pytest.mark.slow
+
 SEED = 42
 THREADS = 4
 
@@ -47,7 +49,7 @@ def test_aipw_estimates_are_unbiased_for_both_arms():
 
 
 def test_scaled_regret_never_exceeds_the_minimax_limit(shared_sweep):
-    _report(check_regret_bound_non_violation(seed=SEED, sweep=shared_sweep))
+    _report(check_regret_bound_non_violation(shared_sweep))
 
 
 def test_oracle_allocation_hits_the_gaussian_tail_probability():
@@ -55,7 +57,7 @@ def test_oracle_allocation_hits_the_gaussian_tail_probability():
 
 
 def test_bound_curve_peaks_at_the_critical_gap(shared_sweep):
-    _report(check_worst_case_maximizer(seed=SEED, sweep=shared_sweep))
+    _report(check_worst_case_maximizer(shared_sweep))
 
 
 def test_misidentification_vanishes_as_the_budget_grows():

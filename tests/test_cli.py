@@ -292,6 +292,34 @@ def test_starved_arm_is_a_config_error(tmp_path, command, doc):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert "error: arm 1 was never observed" in proc.stderr
+    assert "in replication " in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command, text, literal",
+    [
+        ("run", json.dumps(RUN_CONFIG).replace("[0.5, 0.0]", "[NaN, 0.0]"), "NaN"),
+        ("sweep", '{"sigmas": [1.0, 1.0], "T": 100, "policy": {"kind": "uniform"}, '
+                  '"R": 10, "grid": [Infinity]}', "Infinity"),
+        ("bounds", '{"sigmas": [NaN, 1.0], "T": 100}', "NaN"),
+        ("bounds", '{"sigmas": [1.0, -Infinity], "T": 100}', "-Infinity"),
+        ("bounds", '{"sigmas": [1.0, 1.0], "T": 100, "grid": [0.5, 1e999]}', "1e999"),
+    ],
+)
+def test_non_finite_number_is_a_config_error(tmp_path, command, text, literal):
+    """json.loads accepts NaN/Infinity literals; the schema's bounds miss NaN."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text, encoding="utf-8")
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "neyman_bai.cli", command, "--config", str(cfg)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert f"error: config number {literal} is not finite" in proc.stderr
 
 
 def test_unwritable_out_path_is_an_io_error(tmp_path, capsys):

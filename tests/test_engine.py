@@ -33,7 +33,7 @@ def _scalar_replications(cfg, R):
     """Reference results, one run_trial call per replication index."""
     rec, corr, n1, mu = [], [], [], []
     for i in range(R):
-        res = run_trial(replace(cfg, replication=i))
+        res = run_trial(cfg, i)
         assert res.counts[0] + res.counts[1] == cfg.T
         rec.append(res.recommended)
         corr.append(res.correct)
@@ -72,13 +72,6 @@ class TestScalarVectorizedAgreement:
             assert np.array_equal(got.n1, n1), label
             assert np.array_equal(got.mu_hat, mu), label
 
-    def test_replication_field_is_ignored_by_replicate(self):
-        cfg = TrialConfig(GAUSS, 37, AdaptiveNeyman(eta=0.2), "aipw", seed=7)
-        a = replicate(cfg, 10)
-        b = replicate(replace(cfg, replication=99), 10)
-        assert np.array_equal(a.mu_hat, b.mu_hat)
-        assert np.array_equal(a.n1, b.n1)
-
     def test_starved_sample_mean_raises_in_both_paths(self):
         """Tiny eta can pin one arm near w_min long enough to starve it.
 
@@ -92,7 +85,45 @@ class TestScalarVectorizedAgreement:
             replicate(cfg, 23)
         with pytest.raises(ValueError, match="never observed"):
             for i in range(23):
-                run_trial(replace(cfg, replication=i))
+                run_trial(cfg, i)
+
+
+class TestStarvedArm:
+    """The sample-mean error names the arm and the lowest starved replication.
+
+    At T = 37 and seed 5 the default eta leaves arm 2 unobserved in
+    replications 4 and 16 and arm 1 in replication 19, so at R = 40 the
+    arm-1 rule wins although a lower replication starves arm 2.
+    """
+
+    CFG = TrialConfig(GAUSS, 37, AdaptiveNeyman(), "sample_mean", seed=5)
+
+    def _expected(self, R):
+        counts = [run_trial(replace(self.CFG, estimator="aipw"), i).counts for i in range(R)]
+        for arm in (1, 2):
+            starved = [i for i, c in enumerate(counts) if c[arm - 1] == 0]
+            if starved:
+                return (
+                    f"arm {arm} was never observed in replication {starved[0]}; "
+                    "its sample mean is undefined"
+                )
+        raise AssertionError("no replication starves an arm")
+
+    @pytest.mark.parametrize("R, arm", [(40, 1), (19, 2)])
+    def test_message_is_independent_of_threads_and_chunks(self, R, arm, monkeypatch):
+        want = self._expected(R)
+        assert want.startswith(f"arm {arm} ")
+        with pytest.raises(ValueError) as one:
+            replicate(self.CFG, R)
+        monkeypatch.setattr(eng, "_CHUNK_CELLS", self.CFG.T * 7 * 2)  # 7 rows per chunk
+        with pytest.raises(ValueError) as two:
+            replicate(self.CFG, R, threads=2)
+        assert str(one.value) == str(two.value) == want
+
+    def test_block_schedule_starves_replication_zero(self):
+        cfg = TrialConfig(GAUSS, 2, OracleNeyman(1.0, 100.0), "sample_mean", seed=1)
+        with pytest.raises(ValueError, match="arm 1 was never observed in replication 0;"):
+            replicate(cfg, 5)
 
 
 class TestDeterminism:
@@ -308,6 +339,27 @@ class TestTrialConfigValidation:
         cfg = {"instance": GAUSS, "T": 10, "policy": Uniform(), **kwargs}
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             TrialConfig(**cfg)
+
+
+class TestReplicationArgument:
+    CFG = TrialConfig(GAUSS, 10, Uniform(), "aipw", seed=5)
+
+    @pytest.mark.parametrize("replication", [-1, 2**62], ids=["negative", "2^62"])
+    def test_out_of_range_rejected(self, replication):
+        """Stream keys 4i + k keep 64 bits, so -1 would alias 2**62 - 1."""
+        with pytest.raises(ValueError, match=r"replication must lie in \[0, 2\^62\)"):
+            run_trial(self.CFG, replication)
+
+    @pytest.mark.parametrize("replication", [1.0, True, np.int64(3)], ids=repr)
+    def test_non_integer_rejected(self, replication):
+        for run in (run_trial, run_trial_records):
+            with pytest.raises(ValueError, match="replication must be an integer"):
+                run(self.CFG, replication)
+
+    def test_largest_replication_runs(self):
+        res = run_trial(self.CFG, 2**62 - 1)
+        assert res.counts == (5, 5)
+        assert res != run_trial(self.CFG, 0)
 
 
 class TestReplicateValidation:

@@ -1,15 +1,15 @@
 """Estimator arithmetic, predictability, and the martingale structure."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neyman_bai.distributions import Instance, Marginal
 from neyman_bai.engine import TrialConfig, replicate, run_trial_records, simulate_rounds
 from neyman_bai.estimators import (
-    EstimatorOutput,
     RoundRecord,
     aipw_estimate,
     ipw_estimate,
@@ -17,7 +17,7 @@ from neyman_bai.estimators import (
     recommend,
     sample_mean_estimate,
 )
-from neyman_bai.policies import AdaptiveNeyman, Uniform
+from neyman_bai.policies import AdaptiveNeyman, OracleNeyman, Uniform
 from neyman_bai.rng import spawn
 
 
@@ -40,19 +40,15 @@ class TestSingleRoundArithmetic:
     """T = 1 cases pin the per-term arithmetic exactly."""
 
     def test_aipw(self):
-        out = aipw_estimate([_rec(1, 1, 2.0, 0.5)], 1)
-        assert out.mu_hat == (4.0, 0.0)
-        assert out.kind == "aipw"
+        assert aipw_estimate([_rec(1, 1, 2.0, 0.5)], 1) == (4.0, 0.0)
 
     def test_aipw_uses_running_mean(self):
         out = aipw_estimate([_rec(1, 2, 3.0, 0.25, pre=(1.5, 1.0))], 1)
         # arm 2 chosen: (3 - 1) / 0.25 + 1 = 9; arm 1 gets its plug-in 1.5
-        assert out.mu_hat == (1.5, 9.0)
+        assert out == (1.5, 9.0)
 
     def test_ipw(self):
-        out = ipw_estimate([_rec(1, 1, 2.0, 0.5, pre=(9.9, 9.9))], 1)
-        assert out.mu_hat == (4.0, 0.0)
-        assert out.kind == "ipw"
+        assert ipw_estimate([_rec(1, 1, 2.0, 0.5, pre=(9.9, 9.9))], 1) == (4.0, 0.0)
 
     def test_sample_mean_requires_both_arms(self):
         with pytest.raises(ValueError, match="arm 2 was never observed"):
@@ -60,9 +56,7 @@ class TestSingleRoundArithmetic:
 
     def test_sample_mean(self):
         records = [_rec(1, 1, 2.0, 0.5), _rec(2, 1, 4.0, 0.5), _rec(3, 2, -1.0, 0.5)]
-        out = sample_mean_estimate(records, 3)
-        assert out.mu_hat == (3.0, -1.0)
-        assert out.kind == "sample_mean"
+        assert sample_mean_estimate(records, 3) == (3.0, -1.0)
 
 
 def test_aipw_equals_ipw_when_plugin_is_zero():
@@ -74,22 +68,22 @@ def test_aipw_equals_ipw_when_plugin_is_zero():
         records.append(_rec(t, arm, float(g.standard_normal()), 0.3 if arm == 1 else 0.7))
     a = aipw_estimate(records, len(records))
     b = ipw_estimate(records, len(records))
-    assert a.mu_hat == b.mu_hat
+    assert a == b
 
 
 class TestRecommend:
     def test_argmax(self):
-        assert recommend(EstimatorOutput((0.2, 0.5), "aipw")) == 2
-        assert recommend(EstimatorOutput((0.6, 0.5), "aipw")) == 1
+        assert recommend((0.2, 0.5)) == 2
+        assert recommend((0.6, 0.5)) == 1
 
     def test_tie_goes_to_arm_one(self):
-        assert recommend(EstimatorOutput((0.5, 0.5), "aipw")) == 1
+        assert recommend((0.5, 0.5)) == 1
 
     def test_recommendation_invariant_to_shared_shift(self):
         """Adding a constant to both arm estimates never flips the argmax."""
         for mu in [(0.1, 0.4), (2.0, -1.0), (0.0, 0.0)]:
-            base = recommend(EstimatorOutput(mu, "aipw"))
-            shifted = recommend(EstimatorOutput((mu[0] + 5.5, mu[1] + 5.5), "aipw"))
+            base = recommend(mu)
+            shifted = recommend((mu[0] + 5.5, mu[1] + 5.5))
             assert base == shifted
 
 
@@ -119,6 +113,33 @@ class TestPredictability:
             assert mod_records[t_hit].mu_tilde_pre == records[t_hit].mu_tilde_pre
             assert mod_records[t_hit].arm == records[t_hit].arm
 
+    @given(
+        T=st.integers(2, 40),
+        data=st.data(),
+        seed=st.integers(0, 2**64 - 1),
+        inst=st.sampled_from([
+            Instance(Marginal.gaussian(0.3, 1.0), Marginal.gaussian(0.0, 2.0)),
+            Instance(Marginal.bernoulli(0.6), Marginal.bernoulli(0.4)),
+        ]),
+        policy=st.sampled_from([AdaptiveNeyman(), AdaptiveNeyman(eta=0.2), OracleNeyman(1.0, 2.0)]),
+        delta=st.floats(-50.0, 50.0).filter(lambda d: d != 0.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_perturbing_round_t_keeps_rounds_up_to_t(self, T, data, seed, inst, policy, delta):
+        """Against the scalar oracle: w_used and mu_tilde_pre of rounds 1..t
+        ignore round t's outcome, for any budget, round, seed and family."""
+        t = data.draw(st.integers(1, T), label="t")
+        y1 = inst.arm1.draw(spawn(seed, 0), T)
+        y2 = inst.arm2.draw(spawn(seed, 1), T)
+        u = spawn(seed, 2).random(T)
+        records, _ = simulate_rounds(inst, T, policy, "aipw", y1, y2, u)
+        y1[t - 1] += delta
+        y2[t - 1] += delta
+        moved, _ = simulate_rounds(inst, T, policy, "aipw", y1, y2, u)
+        for before, after in zip(records[:t], moved[:t]):
+            assert after.w_used == before.w_used
+            assert after.mu_tilde_pre == before.mu_tilde_pre
+
     def test_round_one_plugin_is_zero_and_w_is_half(self):
         inst = Instance(Marginal.gaussian(0.3, 1.0), Marginal.gaussian(0.0, 2.0))
         records, _ = run_trial_records(TrialConfig(inst, 5, AdaptiveNeyman(), "aipw", seed=1))
@@ -144,8 +165,8 @@ class TestMartingaleResiduals:
         R = 400
         total = np.zeros(2)
         for i in range(R):
-            cfg = TrialConfig(inst, T, AdaptiveNeyman(eta=0.2), "aipw", seed=17, replication=i)
-            records, _ = run_trial_records(cfg)
+            cfg = TrialConfig(inst, T, AdaptiveNeyman(eta=0.2), "aipw", seed=17)
+            records, _ = run_trial_records(cfg, i)
             total += martingale_residuals(records, inst).sum(axis=0)
         mean_sum = total / R
         # Var of a per-trial residual sum is O(T); 5 SE with a generous constant

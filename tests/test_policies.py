@@ -123,6 +123,27 @@ class TestAdaptivePolicy:
             arm = 1 if g.random() < w else 2
             state = update(state, arm, float(g.standard_normal()))
 
+    @given(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.floats(0.0, 0.5, exclude_min=True),
+        st.lists(
+            st.tuples(st.sampled_from((1, 2)), st.floats(-1e150, 1e150)), min_size=1, max_size=40
+        ),
+    )
+    @settings(max_examples=300)
+    def test_probability_stays_within_clamp_for_any_history(self, eta, w_min, history):
+        """Every state built by update lands in [w_min, 1 - w_min].
+
+        Outcomes stay within 1e150 in magnitude, so the running means and
+        squared deviations stay finite. Larger ones can overflow m2 to inf,
+        and then the probability is NaN, not a clamped value.
+        """
+        pol = AdaptiveNeyman(eta, w_min)
+        state = AllocationState()
+        for arm, y in history:
+            state = update(state, arm, y)
+            assert w_min <= allocation_probability(state, pol) <= 1.0 - w_min
+
     def test_converges_to_neyman_fraction(self):
         """Feeding iid draws from sigma = (1, 2) arms pushes w to 1/3."""
         arm1 = Marginal.gaussian(0.0, 1.0)
