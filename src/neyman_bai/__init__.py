@@ -64,7 +64,7 @@ from .theory import (
     worst_case_gap,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "AdaptiveNeyman",

@@ -17,6 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Largest magnitude of a mean or variance (see Marginal).
+_MAGNITUDE_LIMIT = 1e100
+
 
 class Family(str, enum.Enum):
     GAUSSIAN = "gaussian"
@@ -31,6 +34,9 @@ class Marginal:
     enforces variance == mean*(1-mean) bit-exactly; use the `bernoulli`
     helper rather than spelling the variance out. Bernoulli means must lie
     strictly inside (0, 1) so that both outcomes have positive mass.
+    Means and variances must not exceed 1e100 in magnitude: outcomes then
+    stay near 1e100 at most, so their squares (up to about 1e200) and the
+    running sums of squares over any budget remain finite.
     """
 
     family: Family
@@ -40,6 +46,11 @@ class Marginal:
     def __post_init__(self) -> None:
         if not math.isfinite(self.mean) or not math.isfinite(self.variance):
             raise ValueError("mean and variance must be finite")
+        for name, value in (("mean", self.mean), ("variance", self.variance)):
+            if abs(value) > _MAGNITUDE_LIMIT:
+                raise ValueError(
+                    f"{name} must lie within [-1e100, 1e100], got {value!r}"
+                )
         if self.family is Family.GAUSSIAN:
             if self.variance <= 0.0:
                 raise ValueError(f"gaussian variance must be positive, got {self.variance}")
@@ -75,11 +86,31 @@ class Marginal:
 
         `size` is required. Batch draws consume the stream exactly like
         repeated scalar draws, so prefixes of a batch match shorter batches
-        from the same stream.
+        from the same stream. Equal to draw_standard then to_outcomes.
+        """
+        out = np.empty(size)
+        self.draw_standard(gen, out)
+        self.to_outcomes(out)
+        return out
+
+    def draw_standard(self, gen: np.random.Generator, out: np.ndarray) -> None:
+        """Fill contiguous `out` with the standard draws behind the outcomes.
+
+        Standard normals for Gaussian arms, uniforms on [0, 1) for Bernoulli
+        arms; to_outcomes maps them to outcomes.
         """
         if self.family is Family.GAUSSIAN:
-            return self.mean + self.sd * gen.standard_normal(size)
-        return (gen.random(size) < self.mean).astype(np.float64)
+            gen.standard_normal(out=out)
+        else:
+            gen.random(out=out)
+
+    def to_outcomes(self, values: np.ndarray) -> None:
+        """Map standard draws to outcomes in place: mean + sd*z, or u < mean."""
+        if self.family is Family.GAUSSIAN:
+            np.multiply(values, self.sd, out=values)
+            np.add(values, self.mean, out=values)
+        else:
+            np.less(values, self.mean, out=values, casting="unsafe")
 
 
 def kl_divergence(p: Marginal, q: Marginal) -> float:

@@ -6,13 +6,20 @@ master seed s owns three streams under s: arm-1 outcomes (stream 4i), arm-2
 outcomes (4i+1), and selection uniforms (4i+2); the bound keeps 4i+3 below
 2^64. Both arms' potential outcomes are drawn up front for every round (the
 policy merely decides which column is observed), so a trial's random inputs
-are a pure function of (seed, i) and never depend on the policy's path. A
-chunk opens its first stream with rng.spawn and every later one by
-re-keying that same generator with rng.restart; the draws are identical to
-a fresh spawn per stream, so the stream layout alone fixes the tables.
-run_trial walks these tables with a readable scalar loop; replicate runs
-the same arithmetic vectorized in fixed-size chunks, bit-identical to the
-scalar path and independent of chunking and thread count.
+are a pure function of (seed, i) and never depend on the policy's path.
+
+Tables are drawn in round blocks: replicate takes replications in chunks
+of at most _CHUNK_ROWS and draws their rounds into round-major (rounds,
+replications) blocks of about _CHUNK_CELLS cells per stream, so memory
+does not grow with T. A Philox stream is fixed by its key, and drawing it
+in pieces gives the same values as one draw, so the blocks hold exactly
+one whole-trial draw per stream (see _fill for how streams are opened).
+run_trial walks its replication's tables, one block of T rounds, with a
+readable scalar loop; replicate runs the same arithmetic vectorized, one
+kernel call per block on the calling thread, carrying each replication's
+running sums from block to block. With threads > 1, worker threads only
+fill blocks, each its own rows. Results are bit-identical to the scalar
+path and independent of blocks, chunks and thread count.
 
 Regret bookkeeping uses the two-arm identity: expected simple regret equals
 gap times misidentification probability, so the engine counts wrong
@@ -23,7 +30,9 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -40,16 +49,21 @@ from .policies import (
 )
 from .rng import restart, spawn
 
-STREAM_ARM1 = 0
-STREAM_ARM2 = 1
-STREAM_SELECT = 2
 _STREAMS_PER_REP = 4
 
 DEFAULT_GRID = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 3.0)
 
-# Replications per vectorized chunk are sized so one outcome table stays
-# around 128 MB; threads share the budget.
-_CHUNK_CELLS = 16_000_000
+# Replications per chunk, the width of every kernel call: the adaptive
+# kernel's cost per cell levels off at a few thousand rows.
+_CHUNK_ROWS = 4096
+
+# Cells per stream in one round block (8 bytes each): a chunk draws its
+# rounds in blocks of _CHUNK_CELLS // rows, or whole trials when T fits.
+_CHUNK_CELLS = 1 << 22
+
+# Rows drawn into a worker's scratch between transposed copies into a block;
+# the scratch then stays in cache.
+_BAND = 128
 
 # Stream keys keep a seed's low 64 bits, so a wider seed would alias another;
 # replication i keys streams 4i..4i+3, so i stays below 2^62.
@@ -116,33 +130,79 @@ class Replications:
     mu_hat: np.ndarray
 
 
-def _tables(cfg: TrialConfig, lo: int, hi: int):
-    """Outcome/selection tables for replications lo..hi-1, one row each.
+def _fill(cfg, lo, t0, blocks, gens, rows, scratch) -> None:
+    """Draw the rounds of one block for chunk rows a..b-1 (rows = (a, b)).
 
-    Row j belongs to replication lo+j. The selection table is only drawn
-    for randomizing policies; block schedules never consume it.
+    blocks[k][t, j] receives round t0 + t of stream 4(lo + j) + k: arm-1
+    outcomes, arm-2 outcomes and, for adaptive policies, selection
+    uniforms. Under a block schedule arm 1 is never observed from the cut
+    on, so those rounds of its stream are not drawn and stay unset. When
+    the block holds whole trials (gens is None), one generator is opened
+    with spawn and re-keyed for every later stream; otherwise gens[k][j]
+    keeps stream k of row j open across blocks, and the first block
+    (t0 == 0) spawns it.
+
+    Each row's standard draws take one call that releases the interpreter
+    lock; every _BAND rows the scratch, still in cache, is transposed into
+    the block, and whole blocks are mapped to outcomes, so parallel fills
+    seldom wait on the lock.
+    """
+    a, b = rows
+    n = blocks.shape[1]
+    seed = cfg.seed
+    cut = block_cut(cfg.policy, cfg.T)
+    arms = (cfg.instance.arm1, cfg.instance.arm2, None)  # None: selection uniforms
+    gen = None
+    for k, block in enumerate(blocks):
+        arm = arms[k]
+        m = n if k or cut is None else min(n, max(0, cut - t0))
+        if m == 0:
+            continue
+        for i in range(a, b, _BAND):
+            c = min(b, i + _BAND)
+            band = scratch[: c - i, :m]
+            for j in range(i, c):
+                stream = _STREAMS_PER_REP * (lo + j) + k
+                if gens is not None:
+                    if t0 == 0:
+                        gens[k][j] = spawn(seed, stream)
+                    gen = gens[k][j]
+                elif gen is None:
+                    gen = spawn(seed, stream)
+                else:
+                    restart(gen, seed, stream)
+                if arm is None:
+                    gen.random(out=band[j - i])
+                else:
+                    arm.draw_standard(gen, band[j - i])
+            block[:m, i:c] = band.T
+        if arm is not None:
+            arm.to_outcomes(block[:m, a:b])
+
+
+def _blocks(cfg: TrialConfig, lo: int, hi: int, rounds: int, threads: int = 1, pool=None):
+    """Yield (t0, blocks) over round blocks of replications lo..hi-1.
+
+    blocks is a (streams, n, hi - lo) array: rounds t0..t0+n-1, round-major,
+    one column per replication (see _fill). The buffer is reused, so read
+    each block before asking for the next. With a pool, `threads` workers
+    fill disjoint row ranges of each block, and the block is yielded once
+    all of them are done.
     """
     B = hi - lo
     T = cfg.T
-    seed = cfg.seed
-    arm1, arm2 = cfg.instance.arm1, cfg.instance.arm2
-    y1 = np.empty((B, T))
-    y2 = np.empty((B, T))
-    adaptive = isinstance(cfg.policy, AdaptiveNeyman)
-    u = np.empty((B, T)) if adaptive else None
-    # One generator per call (so per worker thread), re-keyed per stream.
-    gen = spawn(seed, _STREAMS_PER_REP * lo + STREAM_ARM1)
-    for j in range(B):
-        base = _STREAMS_PER_REP * (lo + j)
-        if j:
-            restart(gen, seed, base + STREAM_ARM1)
-        y1[j] = arm1.draw(gen, T)
-        restart(gen, seed, base + STREAM_ARM2)
-        y2[j] = arm2.draw(gen, T)
-        if adaptive:
-            restart(gen, seed, base + STREAM_SELECT)
-            u[j] = gen.random(T)
-    return y1, y2, u
+    nstreams = 3 if isinstance(cfg.policy, AdaptiveNeyman) else 2
+    buf = np.empty((nstreams, rounds, B))
+    parts = min(threads, B)
+    edges = [B * p // parts for p in range(parts + 1)]
+    ranges = list(zip(edges[:-1], edges[1:]))
+    scratch = [np.empty((min(_BAND, b - a), rounds)) for a, b in ranges]
+    gens = None if rounds >= T else [[None] * B for _ in range(nstreams)]
+    for t0 in range(0, T, rounds):
+        blocks = buf[:, : min(rounds, T - t0)]
+        fill = partial(_fill, cfg, lo, t0, blocks, gens)
+        list((pool.map if pool is not None and parts > 1 else map)(fill, ranges, scratch))
+        yield t0, blocks
 
 
 def simulate_rounds(
@@ -184,12 +244,16 @@ def simulate_rounds(
 def run_trial_records(
     cfg: TrialConfig, replication: int = 0
 ) -> tuple[list[RoundRecord], TrialResult]:
-    """One trial, returning its per-round records alongside the result."""
+    """One trial, returning its per-round records alongside the result.
+
+    Its tables come from replicate's fill, as one replication in one block
+    of T rounds.
+    """
     _require_int("replication", replication, 62)
-    y1, y2, u = _tables(cfg, replication, replication + 1)
+    ((_, tables),) = _blocks(cfg, replication, replication + 1, cfg.T)
+    y1, y2, *u = tables[:, :, 0]
     return simulate_rounds(
-        cfg.instance, cfg.T, cfg.policy, cfg.estimator,
-        y1[0], y2[0], u[0] if u is not None else None,
+        cfg.instance, cfg.T, cfg.policy, cfg.estimator, y1, y2, u[0] if u else None
     )
 
 
@@ -198,30 +262,26 @@ def run_trial(cfg: TrialConfig, replication: int = 0) -> TrialResult:
     return run_trial_records(cfg, replication)[1]
 
 
-def _kernel_adaptive(policy: AdaptiveNeyman, estimator: str, y1, y2, u):
-    """Adaptive-Neyman rounds, vectorized across replications.
+def _kernel_adaptive(policy: AdaptiveNeyman, estimator: str, t0: int, tables, state=None):
+    """Adaptive-Neyman rounds t0.. of one round-major block, vectorized.
 
     Mirrors simulate_rounds operation for operation (same divisions, same
-    accumulation order over t), so each row equals the scalar path bit for
-    bit once replicate divides. Returns arm-1 counts and both accumulators.
+    accumulation order over t), so each column equals the scalar path bit
+    for bit once replicate divides. state carries the per-replication sums
+    (acc1, acc2, n1, n2, mean1, mean2, m2_1, m2_2) from the previous block,
+    None before round 0; the updated state is returned.
     """
-    B, T = y1.shape
+    y1, y2, u = tables
     eta = policy.eta
     w_min = policy.w_min
     aipw = estimator == "aipw"
     ipw = estimator == "ipw"
+    if state is None:
+        state = np.zeros((8, y1.shape[1]))
+    acc1, acc2, n1, n2, mean1, mean2, m2_1, m2_2 = state
 
-    n1 = np.zeros(B)
-    n2 = np.zeros(B)
-    mean1 = np.zeros(B)
-    mean2 = np.zeros(B)
-    m2_1 = np.zeros(B)
-    m2_2 = np.zeros(B)
-    acc1 = np.zeros(B)
-    acc2 = np.zeros(B)
-
-    for t in range(T):
-        if t == 0:
+    for t in range(len(y1)):
+        if t0 + t == 0:
             w1 = 0.5
             w2 = 0.5
         else:
@@ -231,9 +291,9 @@ def _kernel_adaptive(policy: AdaptiveNeyman, estimator: str, y1, y2, u):
             s2 = np.sqrt(v2)
             w1 = np.clip(s1 / (s1 + s2), w_min, 1.0 - w_min)
             w2 = 1.0 - w1
-        pick = u[:, t] < w1
+        pick = u[t] < w1
         notpick = ~pick
-        y = np.where(pick, y1[:, t], y2[:, t])
+        y = np.where(pick, y1[t], y2[t])
 
         if aipw:
             acc1 += np.where(pick, (y - mean1) / w1, 0.0) + mean1
@@ -254,29 +314,28 @@ def _kernel_adaptive(policy: AdaptiveNeyman, estimator: str, y1, y2, u):
         mean2 = np.where(notpick, mean2 + d2 / np.maximum(n2, 1.0), mean2)
         m2_2 = np.where(notpick, m2_2 + d2 * (y - mean2), m2_2)
 
-    return n1.astype(np.int64), acc1, acc2
+    return acc1, acc2, n1, n2, mean1, mean2, m2_1, m2_2
 
 
-def _kernel_block(cut: int, w_target: float, estimator: str, y1, y2):
-    """Block-schedule rounds (oracle Neyman / uniform), vectorized.
+def _kernel_block(cut: int, w_target: float, estimator: str, t0: int, tables, state=None):
+    """Block-schedule rounds t0.. (oracle Neyman / uniform), vectorized.
 
     Arm 1 owns rounds 0..cut-1, arm 2 the rest; counts are deterministic.
-    Accumulation order over t matches the scalar path exactly.
+    Accumulation order over t matches the scalar path exactly. state
+    carries (acc1, acc2, mean1, mean2) across blocks, as in _kernel_adaptive.
     """
-    B, T = y1.shape
+    y1, y2 = tables
     aipw = estimator == "aipw"
     ipw = estimator == "ipw"
     w1 = w_target
     w2 = 1.0 - w_target
+    if state is None:
+        state = np.zeros((4, y1.shape[1]))
+    acc1, acc2, mean1, mean2 = state
 
-    mean1 = np.zeros(B)
-    mean2 = np.zeros(B)
-    acc1 = np.zeros(B)
-    acc2 = np.zeros(B)
-
-    for t in range(T):
+    for t in range(t0, t0 + len(y1)):
         if t < cut:
-            y = y1[:, t]
+            y = y1[t - t0]
             if aipw:
                 # acc2 would gain mu_tilde(2) == 0.0 on these rounds; skipped.
                 acc1 += (y - mean1) / w1 + mean1
@@ -287,7 +346,7 @@ def _kernel_block(cut: int, w_target: float, estimator: str, y1, y2):
             else:
                 acc1 += y
         else:
-            y = y2[:, t]
+            y = y2[t - t0]
             if aipw:
                 acc1 += mean1
                 acc2 += (y - mean2) / w2 + mean2
@@ -298,12 +357,13 @@ def _kernel_block(cut: int, w_target: float, estimator: str, y1, y2):
             else:
                 acc2 += y
 
-    return np.full(B, cut, dtype=np.int64), acc1, acc2
+    return acc1, acc2, mean1, mean2
 
 
-def _chunk_ranges(R: int, T: int, threads: int) -> list[tuple[int, int]]:
-    per_chunk = max(1, _CHUNK_CELLS // T // threads)
-    return [(lo, min(lo + per_chunk, R)) for lo in range(0, R, per_chunk)]
+def _layout(R: int, T: int) -> tuple[int, int]:
+    """Replications per chunk and rounds per block."""
+    rows = min(R, _CHUNK_ROWS)
+    return rows, min(T, max(1, _CHUNK_CELLS // rows))
 
 
 def replicate(cfg: TrialConfig, R: int, threads: int = 1) -> Replications:
@@ -311,7 +371,8 @@ def replicate(cfg: TrialConfig, R: int, threads: int = 1) -> Replications:
 
     Element i reproduces run_trial(cfg, i) exactly. Results, and the error
     for an arm the sample-mean estimator never observed (naming the lowest
-    such replication, arm 1 first), do not depend on chunks or `threads`.
+    such replication, arm 1 first), do not depend on chunks, blocks or
+    `threads`. Worker threads only fill tables; the kernels run here.
     """
     _require_int("R", R)
     _require_int("threads", threads)
@@ -321,26 +382,23 @@ def replicate(cfg: TrialConfig, R: int, threads: int = 1) -> Replications:
         raise ValueError(f"threads must be >= 1, got {threads}")
     n1 = np.empty(R, dtype=np.int64)
     acc = np.empty((R, 2))
-    adaptive = isinstance(cfg.policy, AdaptiveNeyman)
-    cut = block_cut(cfg.policy, cfg.T)
-    w_target = None if adaptive else allocation_probability(AllocationState(), cfg.policy)
-
-    def work(bounds: tuple[int, int]) -> None:
-        lo, hi = bounds
-        y1, y2, u = _tables(cfg, lo, hi)
-        if adaptive:
-            part = _kernel_adaptive(cfg.policy, cfg.estimator, y1, y2, u)
-        else:
-            part = _kernel_block(cut, w_target, cfg.estimator, y1, y2)
-        n1[lo:hi], acc[lo:hi, 0], acc[lo:hi, 1] = part
-
-    ranges = _chunk_ranges(R, cfg.T, threads)
-    if threads <= 1 or len(ranges) == 1:
-        for bounds in ranges:
-            work(bounds)
+    if isinstance(cfg.policy, AdaptiveNeyman):
+        kernel = partial(_kernel_adaptive, cfg.policy, cfg.estimator)
+        cut = None
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, ranges))
+        cut = block_cut(cfg.policy, cfg.T)
+        w_target = allocation_probability(AllocationState(), cfg.policy)
+        kernel = partial(_kernel_block, cut, w_target, cfg.estimator)
+
+    rows, rounds = _layout(R, cfg.T)
+    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+        for lo in range(0, R, rows):
+            hi = min(lo + rows, R)
+            state = None
+            for t0, tables in _blocks(cfg, lo, hi, rounds, threads, pool):
+                state = kernel(t0, tables, state)
+            acc[lo:hi, 0], acc[lo:hi, 1] = state[:2]
+            n1[lo:hi] = state[2] if cut is None else cut
 
     if cfg.estimator == "sample_mean":
         counts = np.column_stack((n1, cfg.T - n1))

@@ -83,8 +83,7 @@ def sample_mean_estimate(records: Sequence[RoundRecord], T: int) -> tuple[float,
     Raises if an arm was never observed, in which case its mean is
     undefined.
     """
-    if len(records) == 0:
-        raise ValueError("cannot estimate from an empty record sequence")
+    _check_records(records, T)
     tot1 = tot2 = 0.0
     n1 = n2 = 0
     for r in records:

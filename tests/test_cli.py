@@ -322,6 +322,33 @@ def test_non_finite_number_is_a_config_error(tmp_path, command, text, literal):
     assert f"error: config number {literal} is not finite" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "command, doc, key",
+    [
+        ("run", {**RUN_CONFIG, "instance": {**RUN_CONFIG["instance"], "variances": [1e308, 1.0]}},
+         "instance/variances/0"),
+        ("run", {**RUN_CONFIG, "instance": {**RUN_CONFIG["instance"], "means": [0.0, -1e101]}},
+         "instance/means/1"),
+        ("sweep", {"sigmas": [1.0, 1e60], "T": 100, "policy": {"kind": "uniform"}, "R": 10},
+         "sigmas/1"),
+    ],
+    ids=["variance", "mean", "sigma"],
+)
+def test_magnitude_beyond_limit_is_a_config_error(tmp_path, command, doc, key):
+    """A variance of 1e308 used to overflow the running sums and exit 0."""
+    cfg = _write_config(tmp_path, doc)
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "neyman_bai.cli", command, "--config", cfg],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert f"error: config key '{key}': " in proc.stderr
+
+
 def test_unwritable_out_path_is_an_io_error(tmp_path, capsys):
     cfg = _write_config(tmp_path, RUN_CONFIG)
     target = tmp_path / "no" / "such" / "dir" / "out.csv"

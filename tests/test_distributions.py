@@ -53,6 +53,15 @@ class TestMarginalConstruction:
         with pytest.raises(ValueError):
             Marginal.gaussian(math.inf, 1.0)
 
+    def test_magnitudes_beyond_1e100_rejected(self):
+        """Larger outcomes could overflow the running sums of squares."""
+        Marginal.gaussian(-1e100, 1e100)
+        with pytest.raises(ValueError, match=r"variance must lie within \[-1e100, 1e100\]"):
+            Marginal.gaussian(0.0, 1e308)
+        for mean in (2e100, -2e100):
+            with pytest.raises(ValueError, match=r"mean must lie within \[-1e100, 1e100\]"):
+                Marginal.gaussian(mean, 1.0)
+
     def test_mismatched_bernoulli_variance_rejected(self):
         with pytest.raises(ValueError):
             Marginal(Family.BERNOULLI, 0.3, 0.2)

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,7 @@ from neyman_bai.engine import (
     run_trial_records,
     sweep_worst_case,
 )
-from neyman_bai.policies import AdaptiveNeyman, OracleNeyman, Uniform
+from neyman_bai.policies import AdaptiveNeyman, OracleNeyman, Uniform, block_cut
 from neyman_bai.rng import spawn
 
 GAUSS = Instance(Marginal.gaussian(0.3, 1.0), Marginal.gaussian(0.0, 2.5))
@@ -40,6 +41,24 @@ def _scalar_replications(cfg, R):
         n1.append(res.counts[0])
         mu.append(res.mu_hat)
     return np.array(rec), np.array(corr), np.array(n1), np.array(mu)
+
+
+def _starved_message(cfg, R):
+    """replicate's sample-mean error for cfg, from the scalar path's counts."""
+    counts = [run_trial(replace(cfg, estimator="aipw"), i).counts for i in range(R)]
+    for arm in (1, 2):
+        starved = [i for i, c in enumerate(counts) if c[arm - 1] == 0]
+        if starved:
+            return (
+                f"arm {arm} was never observed in replication {starved[0]}; "
+                "its sample mean is undefined"
+            )
+    return None
+
+
+def _force_layout(monkeypatch, rows, cells):
+    monkeypatch.setattr(eng, "_CHUNK_ROWS", rows)
+    monkeypatch.setattr(eng, "_CHUNK_CELLS", cells)
 
 
 def _combos(inst):
@@ -98,27 +117,19 @@ class TestStarvedArm:
 
     CFG = TrialConfig(GAUSS, 37, AdaptiveNeyman(), "sample_mean", seed=5)
 
-    def _expected(self, R):
-        counts = [run_trial(replace(self.CFG, estimator="aipw"), i).counts for i in range(R)]
-        for arm in (1, 2):
-            starved = [i for i, c in enumerate(counts) if c[arm - 1] == 0]
-            if starved:
-                return (
-                    f"arm {arm} was never observed in replication {starved[0]}; "
-                    "its sample mean is undefined"
-                )
-        raise AssertionError("no replication starves an arm")
-
     @pytest.mark.parametrize("R, arm", [(40, 1), (19, 2)])
     def test_message_is_independent_of_threads_and_chunks(self, R, arm, monkeypatch):
-        want = self._expected(R)
+        want = _starved_message(self.CFG, R)
         assert want.startswith(f"arm {arm} ")
         with pytest.raises(ValueError) as one:
             replicate(self.CFG, R)
-        monkeypatch.setattr(eng, "_CHUNK_CELLS", self.CFG.T * 7 * 2)  # 7 rows per chunk
-        with pytest.raises(ValueError) as two:
-            replicate(self.CFG, R, threads=2)
-        assert str(one.value) == str(two.value) == want
+        assert str(one.value) == want
+        # 7-row chunks of whole trials, then 5-row chunks of 7-round blocks
+        for rows, cells in ((7, 7 * self.CFG.T), (5, 35)):
+            _force_layout(monkeypatch, rows, cells)
+            with pytest.raises(ValueError) as other:
+                replicate(self.CFG, R, threads=2)
+            assert str(other.value) == want, (rows, cells)
 
     def test_block_schedule_starves_replication_zero(self):
         cfg = TrialConfig(GAUSS, 2, OracleNeyman(1.0, 100.0), "sample_mean", seed=1)
@@ -156,33 +167,93 @@ class TestDeterminism:
     def test_chunk_size_does_not_change_results(self, monkeypatch):
         cfg = TrialConfig(GAUSS, 211, AdaptiveNeyman(), "aipw", seed=11)
         whole = replicate(cfg, 101)
-        monkeypatch.setattr(eng, "_CHUNK_CELLS", 211 * 7)  # 7 reps per chunk
-        chunked = replicate(cfg, 101)
-        assert np.array_equal(whole.recommended, chunked.recommended)
-        assert np.array_equal(whole.n1, chunked.n1)
-        assert np.array_equal(whole.mu_hat, chunked.mu_hat)
+        # 7-row chunks of whole trials, then of 30-round blocks
+        for cells in (211 * 7, 30 * 7):
+            _force_layout(monkeypatch, 7, cells)
+            chunked = replicate(cfg, 101)
+            assert np.array_equal(whole.recommended, chunked.recommended)
+            assert np.array_equal(whole.n1, chunked.n1)
+            assert np.array_equal(whole.mu_hat, chunked.mu_hat)
+
+
+class TestBlockBoundaries:
+    """replicate equals the scalar oracle across chunk and round-block edges.
+
+    Forced 5-row chunks and 7-round blocks: R = 13 gives chunks of 5, 5 and
+    3 rows; T = 37 spans five full blocks and a partial one, while T = 6
+    fits in one block, whose streams are opened by re-keying.
+    """
+
+    @pytest.mark.parametrize("inst", [GAUSS, BERN], ids=["gaussian", "bernoulli"])
+    @pytest.mark.parametrize("T", [37, 6], ids=["several-blocks", "one-block"])
+    def test_every_combo_matches_scalar_oracle(self, inst, T, monkeypatch):
+        R = 13
+        _force_layout(monkeypatch, 5, 35)
+        assert eng._layout(R, T) == (5, min(T, 7))
+        for policy, est in _combos(inst) + [(AdaptiveNeyman(), "sample_mean")]:
+            cfg = TrialConfig(inst, T, policy, est, seed=7)
+            label = f"{type(policy).__name__}/{est}/T={T}"
+            starved = _starved_message(cfg, R) if est == "sample_mean" else None
+            if starved is None:
+                rec, corr, n1, mu = _scalar_replications(cfg, R)
+            for threads in (1, 2, 4):
+                if starved is not None:
+                    with pytest.raises(ValueError) as err:
+                        replicate(cfg, R, threads)
+                    assert str(err.value) == starved, label
+                    continue
+                got = replicate(cfg, R, threads)
+                assert np.array_equal(got.recommended, rec), (label, threads)
+                assert np.array_equal(got.correct, corr), (label, threads)
+                assert np.array_equal(got.n1, n1), (label, threads)
+                assert np.array_equal(got.mu_hat, mu), (label, threads)
 
 
 class TestStreamIdentity:
-    """Table rows are the documented streams, independent of how they are opened.
+    """Table columns are the documented streams, independent of how they are opened.
 
-    The scalar/vectorized agreement tests share _tables, so they cannot
-    notice a change in which stream a row comes from; these tests pin the
-    rows to fresh spawn(seed, 4i + k) streams and the outputs to digests.
+    The scalar/vectorized agreement tests share _fill, so they cannot
+    notice a change in which stream a column comes from; these tests pin
+    the columns to fresh spawn(seed, 4i + k) streams and the outputs to
+    digests.
     """
+
+    @staticmethod
+    def _assert_fresh_streams(cfg, lo, tables):
+        """Columns equal fresh streams; arm 1 only up to a block schedule's cut."""
+        inst, seed, T = cfg.instance, cfg.seed, cfg.T
+        cut = block_cut(cfg.policy, T)
+        m = T if cut is None else cut
+        for j, i in enumerate(range(lo, lo + tables.shape[2])):
+            assert tables[0][:m, j].tobytes() == inst.arm1.draw(spawn(seed, 4 * i), m).tobytes()
+            assert tables[1][:, j].tobytes() == inst.arm2.draw(spawn(seed, 4 * i + 1), T).tobytes()
+            if len(tables) == 3:
+                assert tables[2][:, j].tobytes() == spawn(seed, 4 * i + 2).random(T).tobytes()
 
     @pytest.mark.parametrize("inst", [GAUSS, BERN], ids=["gaussian", "bernoulli"])
     @pytest.mark.parametrize("policy", [AdaptiveNeyman(), Uniform()], ids=["adaptive", "block"])
     def test_rows_equal_fresh_spawn_streams(self, inst, policy):
-        seed, T, lo, hi = 77, 30, 5, 9
-        y1, y2, u = eng._tables(TrialConfig(inst, T, policy, "aipw", seed), lo, hi)
-        adaptive = isinstance(policy, AdaptiveNeyman)
-        assert (u is not None) == adaptive
-        for j, i in enumerate(range(lo, hi)):
-            assert y1[j].tobytes() == inst.arm1.draw(spawn(seed, 4 * i), T).tobytes()
-            assert y2[j].tobytes() == inst.arm2.draw(spawn(seed, 4 * i + 1), T).tobytes()
-            if adaptive:
-                assert u[j].tobytes() == spawn(seed, 4 * i + 2).random(T).tobytes()
+        cfg = TrialConfig(inst, 30, policy, "aipw", seed=77)
+        ((t0, tables),) = eng._blocks(cfg, 5, 9, cfg.T)
+        assert t0 == 0
+        assert len(tables) == (3 if isinstance(policy, AdaptiveNeyman) else 2)
+        self._assert_fresh_streams(cfg, 5, tables)
+
+    @pytest.mark.parametrize("inst", [GAUSS, BERN], ids=["gaussian", "bernoulli"])
+    @pytest.mark.parametrize("policy", [AdaptiveNeyman(), Uniform()], ids=["adaptive", "block"])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_block_filled_streams_equal_whole_stream_draws(self, inst, policy, threads):
+        """Streams kept open across 7-round blocks (the last one partial).
+
+        Uniform's cut at round 15 falls inside the third block, and arm 1
+        is not drawn in the last two.
+        """
+        cfg = TrialConfig(inst, 30, policy, "aipw", seed=77)
+        with ThreadPoolExecutor(threads) as pool:
+            blocks = [(t0, b.copy()) for t0, b in eng._blocks(cfg, 5, 9, 7, threads, pool)]
+        assert [t0 for t0, _ in blocks] == [0, 7, 14, 21, 28]
+        tables = np.concatenate([b for _, b in blocks], axis=1)
+        self._assert_fresh_streams(cfg, 5, tables)
 
     # SHA-256 of n1 (<i8) then mu_hat (<f8) for R = 50, computed before
     # streams were opened by re-keying one generator per chunk.
@@ -207,7 +278,7 @@ class TestStreamIdentity:
     def test_replicate_matches_pinned_digest(self, name, monkeypatch):
         cfg, want = self.PINNED[name]
         assert self._digest(replicate(cfg, 50)) == want
-        monkeypatch.setattr(eng, "_CHUNK_CELLS", cfg.T * 7)  # 7 reps per chunk
+        _force_layout(monkeypatch, 7, 7 * 9)  # 7-row chunks of 9-round blocks
         assert self._digest(replicate(cfg, 50, threads=2)) == want
 
 

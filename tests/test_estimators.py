@@ -32,8 +32,10 @@ class TestRecordValidation:
                 est([], 0)
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="expected 3"):
-            aipw_estimate([_rec(1, 1, 0.5, 0.5)], 3)
+        two = [_rec(1, 1, 2.0, 0.5), _rec(2, 2, 1.0, 0.5)]
+        for est in (aipw_estimate, ipw_estimate, sample_mean_estimate):
+            with pytest.raises(ValueError, match="expected 5 records, got 2"):
+                est(two, 5)
 
 
 class TestSingleRoundArithmetic:
@@ -95,16 +97,16 @@ class TestPredictability:
         cfg = TrialConfig(inst, 30, AdaptiveNeyman(eta=0.2), "aipw", seed=13)
         records, _ = run_trial_records(cfg)
 
-        from neyman_bai.engine import _tables
+        from neyman_bai.engine import _blocks
 
-        y1, y2, u = _tables(cfg, 0, 1)
+        ((_, (y1, y2, u)),) = _blocks(cfg, 0, 1, cfg.T)
         for t_hit in (4, 11, 22):
-            y1_mod = y1[0].copy()
-            y2_mod = y2[0].copy()
+            y1_mod = y1[:, 0].copy()
+            y2_mod = y2[:, 0].copy()
             y1_mod[t_hit] += 17.0
             y2_mod[t_hit] -= 9.0
             mod_records, _ = simulate_rounds(
-                inst, cfg.T, cfg.policy, cfg.estimator, y1_mod, y2_mod, u[0]
+                inst, cfg.T, cfg.policy, cfg.estimator, y1_mod, y2_mod, u[:, 0]
             )
             # everything strictly before the hit round is untouched
             assert mod_records[:t_hit] == records[:t_hit]
