@@ -52,9 +52,7 @@ from .policies import (
 )
 from .rng import spawn
 from .theory import (
-    BernoulliConstants,
     TransportReport,
-    bernoulli_constants,
     binary_relative_entropy,
     check_transportation,
     minimax_lower_bound_constant,
@@ -64,12 +62,11 @@ from .theory import (
     worst_case_gap,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "AdaptiveNeyman",
     "AllocationState",
-    "BernoulliConstants",
     "ConsistencyPoint",
     "DEFAULT_GRID",
     "Family",
@@ -87,7 +84,6 @@ __all__ = [
     "Uniform",
     "aipw_estimate",
     "allocation_probability",
-    "bernoulli_constants",
     "best_arm",
     "binary_relative_entropy",
     "block_cut",

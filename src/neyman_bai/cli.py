@@ -351,26 +351,10 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         gap = x * scale
         bound = misid_upper_bound(s1, s2, gap, T)
         regret = regret_upper_bound_curve(s1, s2, T, gap)
-        rows.append({
-            "kind": "bound",
-            "T": T,
-            "R": None,
-            "policy": None,
-            "estimator": None,
-            "sigma1": s1,
-            "sigma2": s2,
-            "mu1": None,
-            "mu2": None,
-            "gap": gap,
-            "x": x,
-            "misid_prob": bound,
-            "misid_se": None,
-            "mean_regret": regret,
-            "regret_se": None,
-            "scaled_regret": math.sqrt(T) * regret,
-            "n1_frac": None,
-            "seed": None,
-        })
+        rows.append(dict(
+            dict.fromkeys(COLUMNS), kind="bound", T=T, sigma1=s1, sigma2=s2, gap=gap, x=x,
+            misid_prob=bound, mean_regret=regret, scaled_regret=math.sqrt(T) * regret,
+        ))
     return _emit_command(rows, args)
 
 

@@ -86,7 +86,8 @@ class Marginal:
 
         `size` is required. Batch draws consume the stream exactly like
         repeated scalar draws, so prefixes of a batch match shorter batches
-        from the same stream. Equal to draw_standard then to_outcomes.
+        from the same stream. Equal to draw_standard then to_outcomes. The
+        engine calls those two directly; this is kept for callers outside it.
         """
         out = np.empty(size)
         self.draw_standard(gen, out)
@@ -129,15 +130,16 @@ def kl_divergence(p: Marginal, q: Marginal) -> float:
         d = p.mean - q.mean
         if p.variance == q.variance:
             return (d * d) / (2.0 * q.variance)
-        return (
+        kl = (
             0.5 * math.log(q.variance / p.variance)
             + (p.variance + d * d) / (2.0 * q.variance)
             - 0.5
         )
-    a, b = p.mean, q.mean
-    if a == b:
-        return 0.0
-    return a * math.log(a / b) + (1.0 - a) * math.log((1.0 - a) / (1.0 - b))
+    else:
+        a, b = p.mean, q.mean
+        kl = a * math.log(a / b) + (1.0 - a) * math.log((1.0 - a) / (1.0 - b))
+    # Near p == q the terms cancel and rounding can leave a few ulps below 0.
+    return max(kl, 0.0)
 
 
 def fisher_information(m: Marginal) -> float:

@@ -232,7 +232,7 @@ def simulate_rounds(
             arm = 1 if t < cut else 2
         y = float(y1[t] if arm == 1 else y2[t])
         w_used = w1 if arm == 1 else 1.0 - w1
-        records.append(RoundRecord(t + 1, arm, y, w_used, state.means))
+        records.append(RoundRecord(arm, y, w_used, state.means))
         state = update(state, arm, y)
 
     mu_hat = ESTIMATORS[estimator](records, T)
@@ -486,11 +486,13 @@ def sweep_worst_case(
     scale = (s1 + s2) / math.sqrt(T)
     points = []
     for x in grid:
-        gap = x * scale
-        inst = Instance(
-            Marginal.gaussian(gap, s1 * s1),
-            Marginal.gaussian(0.0, s2 * s2),
-        )
+        try:
+            inst = Instance(
+                Marginal.gaussian(x * scale, s1 * s1),
+                Marginal.gaussian(0.0, s2 * s2),
+            )
+        except ValueError as exc:
+            raise ValueError(f"sweep grid point x = {x!r}: {exc}") from exc
         cfg = TrialConfig(inst, T, policy, estimator, seed)
         points.append(SweepPoint(float(x), cfg, run_monte_carlo(cfg, R, threads)))
     return SweepResult((s1, s2), T, tuple(points))

@@ -27,6 +27,7 @@ from .distributions import Instance
 class RoundRecord:
     """What round t looked like when it was played.
 
+    A trial's records are listed in round order, round t at index t - 1.
     w_used is the allocation probability of the arm actually chosen (the
     complementary arm had 1 - w_used). mu_tilde_pre holds both running
     means just before the round's outcome was observed; an arm with no
@@ -34,7 +35,6 @@ class RoundRecord:
     1..t-1, which the engine's construction order enforces.
     """
 
-    t: int
     arm: int
     outcome: float
     w_used: float

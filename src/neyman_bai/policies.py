@@ -75,9 +75,6 @@ class AllocationState:
     means: tuple[float, float] = (0.0, 0.0)
     m2: tuple[float, float] = (0.0, 0.0)
 
-    def mean(self, a: int) -> float:
-        return self.means[a - 1]
-
 
 def update(state: AllocationState, a: int, y: float) -> AllocationState:
     """Fold one observation of arm a into the running statistics.

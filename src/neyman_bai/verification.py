@@ -18,7 +18,9 @@ import math
 from dataclasses import dataclass, replace
 from time import perf_counter
 
-from .distributions import Instance, Marginal, kl_divergence, lower_bound_alternative
+from .distributions import (
+    Instance, Marginal, fisher_information, kl_divergence, lower_bound_alternative,
+)
 from .engine import (
     SweepResult,
     TrialConfig,
@@ -102,7 +104,12 @@ def bound_sweep(seed: int = 42, threads: int = 1) -> SweepResult:
 
 
 def check_regret_bound_non_violation(sweep: SweepResult) -> CheckResult:
-    """No sweep point's scaled regret exceeds (s1+s2)/sqrt(e) beyond SE slack."""
+    """No sweep point's scaled regret exceeds (s1+s2)/sqrt(e) beyond SE slack.
+
+    That upper envelope sits well above every simulated allocation, so the
+    check cannot tell Neyman allocation from uniform (uniform scores 0.736
+    against 2.43 at sigmas (1, 3), x = 0.75, T = 2000).
+    """
     t0 = perf_counter()
     s1, s2 = sweep.sigmas
     limit = minimax_lower_bound_constant(s1, s2)
@@ -195,15 +202,18 @@ def check_transportation_inequality(seed: int = 42, threads: int = 1) -> CheckRe
     return _finish("transportation_inequality", report.satisfied, detail, t0)
 
 
-def check_kl_fisher(seed: int = 42, threads: int = 1) -> CheckResult:
-    """KL of a small mean shift matches the Fisher quadratic approximation."""
+def check_kl_fisher() -> CheckResult:
+    """KL of a small mean shift matches the Fisher quadratic I * xi^2 / 2.
+
+    Closed form; the ratios 2*KL / (I * xi^2) take I from fisher_information.
+    """
     t0 = perf_counter()
     parts = []
     passed = True
     for xi in (1e-2, 1e-3):
         p = Marginal.gaussian(0.0, 1.0)
         q = Marginal.gaussian(xi, 1.0)
-        ratio = kl_divergence(p, q) * 2.0 * 1.0 / (xi * xi)
+        ratio = 2.0 * kl_divergence(p, q) / (fisher_information(p) * xi * xi)
         ok = ratio == 1.0
         passed = passed and ok
         parts.append(f"gaussian xi={xi:g}: ratio = {ratio!r}")
@@ -211,7 +221,7 @@ def check_kl_fisher(seed: int = 42, threads: int = 1) -> CheckResult:
     pb = 0.3
     b1 = Marginal.bernoulli(pb)
     b2 = Marginal.bernoulli(pb + xi)
-    ratio = kl_divergence(b1, b2) * 2.0 * pb * (1.0 - pb) / (xi * xi)
+    ratio = 2.0 * kl_divergence(b1, b2) / (fisher_information(b1) * xi * xi)
     tol = THRESHOLDS["kl_fisher_tol"]
     ok = abs(ratio - 1.0) <= tol
     passed = passed and ok
@@ -259,6 +269,6 @@ def run_all(seed: int = 42, threads: int = 1) -> list[CheckResult]:
     results.append(check_worst_case_maximizer(sweep))
     results.append(check_consistency(seed, threads))
     results.append(check_transportation_inequality(seed, threads))
-    results.append(check_kl_fisher(seed, threads))
+    results.append(check_kl_fisher())
     results.append(check_bernoulli_policy_equivalence(seed, threads))
     return results

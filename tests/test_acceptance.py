@@ -69,7 +69,7 @@ def test_transportation_inequality_holds_on_a_confusable_pair():
 
 
 def test_kl_matches_the_fisher_quadratic_at_small_separations():
-    _report(check_kl_fisher(seed=SEED, threads=THREADS))
+    _report(check_kl_fisher())
 
 
 def test_bernoulli_arms_make_adaptive_and_uniform_equivalent():

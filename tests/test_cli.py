@@ -349,6 +349,23 @@ def test_magnitude_beyond_limit_is_a_config_error(tmp_path, command, doc, key):
     assert f"error: config key '{key}': " in proc.stderr
 
 
+def test_grid_point_beyond_the_mean_limit_is_a_config_error(tmp_path):
+    """The grid point's gap 2e299 exceeds the mean limit; the error names it."""
+    doc = {"sigmas": [1.0, 1.0], "T": 100, "policy": {"kind": "adaptive_neyman"},
+           "R": 10, "grid": [1e300]}
+    cfg = _write_config(tmp_path, doc)
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "neyman_bai.cli", "sweep", "--config", cfg],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "error: sweep grid point x = 1e+300: mean must lie" in proc.stderr
+
+
 def test_unwritable_out_path_is_an_io_error(tmp_path, capsys):
     cfg = _write_config(tmp_path, RUN_CONFIG)
     target = tmp_path / "no" / "such" / "dir" / "out.csv"

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neyman_bai.distributions import (
@@ -125,12 +125,14 @@ class TestKL:
         v1=st.floats(0.01, 25),
         v2=st.floats(0.01, 25),
     )
+    @example(mu1=0.0, mu2=0.0, v1=0.3, v2=0.3000000000000002)
     @settings(max_examples=200)
     def test_gaussian_kl_nonnegative(self, mu1, mu2, v1, v2):
         kl = kl_divergence(Marginal.gaussian(mu1, v1), Marginal.gaussian(mu2, v2))
         assert kl >= 0.0
 
     @given(p=st.floats(0.001, 0.999), q=st.floats(0.001, 0.999))
+    @example(p=0.001, q=0.0010000000000000002)
     @settings(max_examples=200)
     def test_bernoulli_kl_nonnegative(self, p, q):
         assert kl_divergence(Marginal.bernoulli(p), Marginal.bernoulli(q)) >= 0.0

@@ -358,6 +358,14 @@ class TestSweep:
         with pytest.raises(ValueError, match="positive"):
             sweep_worst_case((1.0, 1.0), 100, Uniform(), "aipw", R=5, seed=0, grid=(0.5, -1.0))
 
+    def test_grid_point_beyond_the_mean_limit_is_named(self):
+        # gap = 1e300 * 2 / 10 = 2e299 lies beyond Marginal's 1e100 limit
+        with pytest.raises(ValueError, match=r"grid point x = 1e\+300: mean must lie") as info:
+            sweep_worst_case(
+                (1.0, 1.0), 100, AdaptiveNeyman(), "aipw", R=5, seed=0, grid=(1.0, 1e300)
+            )
+        assert isinstance(info.value.__cause__, ValueError)
+
 
 class TestConsistencyCurve:
     def test_budgets_produce_one_point_each(self):

@@ -21,8 +21,8 @@ from neyman_bai.policies import AdaptiveNeyman, OracleNeyman, Uniform
 from neyman_bai.rng import spawn
 
 
-def _rec(t, arm, y, w, pre=(0.0, 0.0)):
-    return RoundRecord(t, arm, y, w, pre)
+def _rec(arm, y, w, pre=(0.0, 0.0)):
+    return RoundRecord(arm, y, w, pre)
 
 
 class TestRecordValidation:
@@ -32,7 +32,7 @@ class TestRecordValidation:
                 est([], 0)
 
     def test_length_mismatch_rejected(self):
-        two = [_rec(1, 1, 2.0, 0.5), _rec(2, 2, 1.0, 0.5)]
+        two = [_rec(1, 2.0, 0.5), _rec(2, 1.0, 0.5)]
         for est in (aipw_estimate, ipw_estimate, sample_mean_estimate):
             with pytest.raises(ValueError, match="expected 5 records, got 2"):
                 est(two, 5)
@@ -42,22 +42,22 @@ class TestSingleRoundArithmetic:
     """T = 1 cases pin the per-term arithmetic exactly."""
 
     def test_aipw(self):
-        assert aipw_estimate([_rec(1, 1, 2.0, 0.5)], 1) == (4.0, 0.0)
+        assert aipw_estimate([_rec(1, 2.0, 0.5)], 1) == (4.0, 0.0)
 
     def test_aipw_uses_running_mean(self):
-        out = aipw_estimate([_rec(1, 2, 3.0, 0.25, pre=(1.5, 1.0))], 1)
+        out = aipw_estimate([_rec(2, 3.0, 0.25, pre=(1.5, 1.0))], 1)
         # arm 2 chosen: (3 - 1) / 0.25 + 1 = 9; arm 1 gets its plug-in 1.5
         assert out == (1.5, 9.0)
 
     def test_ipw(self):
-        assert ipw_estimate([_rec(1, 1, 2.0, 0.5, pre=(9.9, 9.9))], 1) == (4.0, 0.0)
+        assert ipw_estimate([_rec(1, 2.0, 0.5, pre=(9.9, 9.9))], 1) == (4.0, 0.0)
 
     def test_sample_mean_requires_both_arms(self):
         with pytest.raises(ValueError, match="arm 2 was never observed"):
-            sample_mean_estimate([_rec(1, 1, 2.0, 0.5)], 1)
+            sample_mean_estimate([_rec(1, 2.0, 0.5)], 1)
 
     def test_sample_mean(self):
-        records = [_rec(1, 1, 2.0, 0.5), _rec(2, 1, 4.0, 0.5), _rec(3, 2, -1.0, 0.5)]
+        records = [_rec(1, 2.0, 0.5), _rec(1, 4.0, 0.5), _rec(2, -1.0, 0.5)]
         assert sample_mean_estimate(records, 3) == (3.0, -1.0)
 
 
@@ -65,9 +65,9 @@ def test_aipw_equals_ipw_when_plugin_is_zero():
     """With mu_tilde identically zero the augmentation vanishes term by term."""
     g = spawn(5, 0)
     records = []
-    for t in range(1, 40):
+    for _ in range(39):
         arm = 1 if g.random() < 0.3 else 2
-        records.append(_rec(t, arm, float(g.standard_normal()), 0.3 if arm == 1 else 0.7))
+        records.append(_rec(arm, float(g.standard_normal()), 0.3 if arm == 1 else 0.7))
     a = aipw_estimate(records, len(records))
     b = ipw_estimate(records, len(records))
     assert a == b

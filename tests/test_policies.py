@@ -42,8 +42,8 @@ class TestAllocationState:
         s = update(s, 2, -1.0)
         s = update(s, 1, 4.0)
         assert s.counts == (2, 1)
-        assert s.mean(1) == 3.0
-        assert s.mean(2) == -1.0
+        assert s.means[0] == 3.0
+        assert s.means[1] == -1.0
 
     def test_update_rejects_bad_arm(self):
         with pytest.raises(ValueError):
@@ -54,7 +54,7 @@ class TestAllocationState:
     def test_welford_matches_batch_moments(self, values):
         s = _feed(values)
         arr = np.asarray(values)
-        assert s.mean(1) == pytest.approx(arr.mean(), rel=1e-10, abs=1e-10)
+        assert s.means[0] == pytest.approx(arr.mean(), rel=1e-10, abs=1e-10)
         v = variance_estimate(s, 1, eta=1e-3)
         if len(set(values)) == 1:
             # Welford leaves m2 at exactly 0, so the floor applies, while

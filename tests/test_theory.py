@@ -11,7 +11,6 @@ from neyman_bai.distributions import Instance, Marginal, lower_bound_alternative
 from neyman_bai.engine import sweep_worst_case
 from neyman_bai.policies import OracleNeyman, Uniform
 from neyman_bai.theory import (
-    bernoulli_constants,
     binary_relative_entropy,
     check_transportation,
     minimax_lower_bound_constant,
@@ -153,21 +152,6 @@ class TestBinaryRelativeEntropy:
     def test_pinsker(self, x, y):
         d = binary_relative_entropy(x, y)
         assert d >= 2.0 * (x - y) ** 2 - 1e-12
-
-
-class TestBernoulliConstants:
-    def test_stated_value(self):
-        c = bernoulli_constants()
-        assert c.stated == 2.0 * math.sqrt(5.0 / math.e)
-        assert c.stated == 2.7124875711104828
-
-    def test_variance_capped_value_matches_the_gaussian_constant(self):
-        c = bernoulli_constants()
-        assert c.variance_capped == minimax_lower_bound_constant(0.5, 0.5)
-
-    def test_the_two_differ_by_two_root_five(self):
-        c = bernoulli_constants()
-        assert c.stated / c.variance_capped == pytest.approx(2.0 * math.sqrt(5.0), rel=1e-15)
 
 
 class TestTransportation:

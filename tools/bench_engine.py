@@ -9,10 +9,8 @@ on one process:
 - table fill: ns per replication-round cell to draw every table a
   replicate call draws, without the kernels, per family, on one thread;
 - kernel ns/cell for the adaptive (AIPW) and the block (uniform, AIPW)
-  kernels at 400 to 16,000 rows, on 256 rounds of Gaussian draws in the
-  layout the engine hands its kernels (before round blocks: row-major
-  (rows, T) tables, whose columns at the real T lie farther apart than
-  in these 256-round rows, so that layout looks cheaper here);
+  kernels at 400 to 16,000 rows, on one round-major block of 256 rounds
+  of Gaussian draws;
 - replicate wall and CPU time for adaptive Neyman + AIPW at R = 3200,
   T = 10^4 and threads 1, 2 and 4;
 - the line count of src/ and the size of neyman_bai.__all__.
@@ -20,14 +18,13 @@ on one process:
 Results go under `label` in the output file, next to the host (nproc,
 Python and numpy versions) and any labels already there, so a run on a
 checkout of the parent commit (--src that/src --label parent) and one on
-this checkout (--label change) sit side by side. Engines from before round
-blocks (whole row-major tables drawn by engine._tables) are measured too.
+this checkout (--label change) sit side by side. The engine must draw its
+tables in round blocks (engine._blocks, from version 0.5.0 on).
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import platform
@@ -81,14 +78,10 @@ def _best(fn, repeats: int) -> float:
 
 def _fill_all(engine, cfg, R: int) -> None:
     """Draw the tables replicate(cfg, R) draws on one thread, without the kernels."""
-    if hasattr(engine, "_blocks"):
-        rows, rounds = engine._layout(R, cfg.T)
-        for lo in range(0, R, rows):
-            for _ in engine._blocks(cfg, lo, min(lo + rows, R), rounds):
-                pass
-    else:
-        for lo, hi in engine._chunk_ranges(R, cfg.T, 1):
-            engine._tables(cfg, lo, hi)
+    rows, rounds = engine._layout(R, cfg.T)
+    for lo in range(0, R, rows):
+        for _ in engine._blocks(cfg, lo, min(lo + rows, R), rounds):
+            pass
 
 
 def _kernels(engine, width: int):
@@ -102,15 +95,9 @@ def _kernels(engine, width: int):
     u = rng.random(shape)
     policy = AdaptiveNeyman()
     cut = KERNEL_ROUNDS // 2
-    if "tables" in inspect.signature(engine._kernel_adaptive).parameters:
-        return (
-            lambda: engine._kernel_adaptive(policy, "aipw", 0, (y1, y2, u)),
-            lambda: engine._kernel_block(cut, 0.5, "aipw", 0, (y1, y2)),
-        )
-    y1, y2, u = (np.ascontiguousarray(a.T) for a in (y1, y2, u))
     return (
-        lambda: engine._kernel_adaptive(policy, "aipw", y1, y2, u),
-        lambda: engine._kernel_block(cut, 0.5, "aipw", y1, y2),
+        lambda: engine._kernel_adaptive(policy, "aipw", 0, (y1, y2, u)),
+        lambda: engine._kernel_block(cut, 0.5, "aipw", 0, (y1, y2)),
     )
 
 
