@@ -7,10 +7,15 @@ document validated against the bundled schema; results are CSV (default)
 or JSON rows sharing one column set across subcommands. Logs go to
 standard error, results to --out or standard output.
 
+run, sweep and consistency share one prologue: config, seed, R, threads
+and estimator. Beyond the schema, the CLI checks only which keys a
+command needs and where the seed came from; other rules are the library's.
+
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 I/O error. A Monte Carlo run whose sample-mean estimator never observes
-an arm in some replication (possible at small budgets) has no defined
-result and is reported as a configuration error naming the arm.
+3 I/O error. Any input the library rejects with a ValueError exits 2 with
+the library's message, for example --reps 0, --threads 0, or a Monte
+Carlo run whose sample-mean estimator never observes an arm in some
+replication (possible at small budgets), which has no defined result.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from pathlib import Path
 
 import jsonschema
 
-from .distributions import Instance, Marginal
+from .distributions import Family, Instance, Marginal
 from .engine import (
     _SEED_LIMIT,
     DEFAULT_GRID,
@@ -34,7 +39,7 @@ from .engine import (
     run_monte_carlo,
     sweep_worst_case,
 )
-from .policies import Policy, policy_from_config, policy_to_config
+from .policies import OracleNeyman, Policy, policy_from_config, policy_to_config
 from .theory import misid_upper_bound, regret_upper_bound_curve, worst_case_gap
 from .verification import run_all
 
@@ -113,7 +118,7 @@ def _load_config(args: argparse.Namespace, command: str, required: tuple[str, ..
         raise ConfigError(f"the {command} command requires --config")
     try:
         text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
     cfg = parse_config(text)
     for key in required:
@@ -148,60 +153,38 @@ def _resolve_seed(args: argparse.Namespace, cfg: dict | None) -> int:
     return seed
 
 
-def _resolve_reps(args: argparse.Namespace, cfg: dict, command: str) -> int:
+def _resolve_reps(args: argparse.Namespace, cfg: dict) -> int:
     if args.reps is not None:
-        if args.reps < 1:
-            raise ConfigError(f"--reps must be >= 1, got {args.reps}")
         return args.reps
     if "R" in cfg:
         return cfg["R"]
-    raise ConfigError(f"the {command} command requires config key 'R' (or pass --reps)")
-
-
-def _resolve_threads(args: argparse.Namespace, cfg: dict | None) -> int:
-    if getattr(args, "threads", None) is not None:
-        if args.threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-        return args.threads
-    if cfg is not None and "threads" in cfg:
-        return cfg["threads"]
-    return 1
+    raise ConfigError(f"the {args.command} command requires config key 'R' (or pass --reps)")
 
 
 def _build_instance(cfg: dict) -> Instance:
     spec = cfg["instance"]
-    family = spec["family"]
+    family = Family(spec["family"])
     means = [float(m) for m in spec["means"]]
-    variances = spec.get("variances")
-    if family == "gaussian":
-        if variances is None:
-            raise ConfigError(
-                "config key 'instance/variances': required for gaussian instances"
-            )
-        arms = [
-            Marginal.gaussian(m, float(v)) for m, v in zip(means, variances)
-        ]
+    if "variances" in spec:
+        key, variances = "instance/variances", [float(v) for v in spec["variances"]]
+    elif family is Family.BERNOULLI:
+        key, variances = "instance/means", [m * (1.0 - m) for m in means]
     else:
-        if variances is not None:
-            for a, (m, v) in enumerate(zip(means, variances), start=1):
-                if float(v) != m * (1.0 - m):
-                    raise ConfigError(
-                        f"config key 'instance/variances': arm {a} variance {v} "
-                        f"must equal mean*(1-mean) = {m * (1.0 - m)} for bernoulli arms"
-                    )
-        try:
-            arms = [Marginal.bernoulli(m) for m in means]
-        except ValueError as exc:
-            raise ConfigError(f"config key 'instance/means': {exc}") from exc
-    return Instance(arms[0], arms[1])
-
-
-def _build_policy(cfg: dict, fallback_sigmas: tuple[float, float]) -> Policy:
-    pol = dict(cfg["policy"])
-    if pol.get("kind") == "oracle_neyman" and "sigma1" not in pol and "sigma2" not in pol:
-        pol["sigma1"], pol["sigma2"] = fallback_sigmas
+        raise ConfigError(
+            "config key 'instance/variances': required for gaussian instances"
+        )
     try:
-        return policy_from_config(pol)
+        return Instance(*(Marginal(family, m, v) for m, v in zip(means, variances)))
+    except ValueError as exc:
+        raise ConfigError(f"config key {key!r}: {exc}") from exc
+
+
+def _build_policy(cfg: dict, sigmas: tuple[float, float]) -> Policy:
+    """The config's policy; an oracle given no sigmas takes the true ones."""
+    try:
+        if cfg["policy"] == {"kind": "oracle_neyman"}:
+            return OracleNeyman(*sigmas)
+        return policy_from_config(cfg["policy"])
     except ValueError as exc:
         raise ConfigError(f"config key 'policy': {exc}") from exc
 
@@ -272,71 +255,63 @@ def _emit_command(rows: list[dict], args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = _load_config(args, "run", ("instance", "T", "policy"))
-    seed = _resolve_seed(args, cfg)
-    R = _resolve_reps(args, cfg, "run")
-    threads = _resolve_threads(args, cfg)
+def _run_rows(cfg: dict, seed: int, R: int, threads: int, estimator: str) -> list[dict]:
     inst = _build_instance(cfg)
     policy = _build_policy(cfg, (inst.arm1.sd, inst.arm2.sd))
-    estimator = cfg.get("estimator", "aipw")
     trial = TrialConfig(inst, cfg["T"], policy, estimator, seed)
     _log(
         f"run: T={trial.T} R={R} policy={cfg['policy']['kind']} "
         f"estimator={estimator} seed={seed}"
     )
-    try:
-        report = run_monte_carlo(trial, R, threads)
-    except ValueError as exc:  # an arm the sample-mean estimator never observed
-        raise ConfigError(str(exc)) from exc
-    return _emit_command([_mc_row("run", trial, report, None)], args)
+    report = run_monte_carlo(trial, R, threads)
+    return [_mc_row("run", trial, report, None)]
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _load_config(args, "sweep", ("sigmas", "T", "policy"))
-    seed = _resolve_seed(args, cfg)
-    R = _resolve_reps(args, cfg, "sweep")
-    threads = _resolve_threads(args, cfg)
+def _sweep_rows(cfg: dict, seed: int, R: int, threads: int, estimator: str) -> list[dict]:
     s1, s2 = (float(s) for s in cfg["sigmas"])
     policy = _build_policy(cfg, (s1, s2))
-    estimator = cfg.get("estimator", "aipw")
     grid = [float(x) for x in cfg.get("grid", DEFAULT_GRID)]
     T = cfg["T"]
     _log(
         f"sweep: {len(grid)} points, T={T} R={R} sigmas=({s1:g},{s2:g}) "
         f"policy={cfg['policy']['kind']} estimator={estimator} seed={seed}"
     )
-    try:
-        result = sweep_worst_case(
-            (s1, s2), T, policy, estimator, R=R, seed=seed, grid=grid, threads=threads
-        )
-    except ValueError as exc:  # an arm the sample-mean estimator never observed
-        raise ConfigError(str(exc)) from exc
-    rows = [_mc_row("sweep", p.cfg, p.report, p.x) for p in result.points]
-    return _emit_command(rows, args)
+    result = sweep_worst_case(
+        (s1, s2), T, policy, estimator, R=R, seed=seed, grid=grid, threads=threads
+    )
+    return [_mc_row("sweep", p.cfg, p.report, p.x) for p in result.points]
 
 
-def _cmd_consistency(args: argparse.Namespace) -> int:
-    cfg = _load_config(args, "consistency", ("instance", "budgets", "policy"))
-    seed = _resolve_seed(args, cfg)
-    R = _resolve_reps(args, cfg, "consistency")
-    threads = _resolve_threads(args, cfg)
+def _consistency_rows(cfg: dict, seed: int, R: int, threads: int, estimator: str) -> list[dict]:
     inst = _build_instance(cfg)
     policy = _build_policy(cfg, (inst.arm1.sd, inst.arm2.sd))
-    estimator = cfg.get("estimator", "aipw")
     budgets = cfg["budgets"]
     _log(
         f"consistency: budgets={budgets} R={R} policy={cfg['policy']['kind']} "
         f"estimator={estimator} seed={seed}"
     )
-    try:
-        curve = consistency_curve(
-            inst, budgets, policy, estimator, R=R, seed=seed, threads=threads
-        )
-    except ValueError as exc:  # an arm the sample-mean estimator never observed
-        raise ConfigError(str(exc)) from exc
-    rows = [_mc_row("consistency", p.cfg, p.report, None) for p in curve]
-    return _emit_command(rows, args)
+    curve = consistency_curve(
+        inst, budgets, policy, estimator, R=R, seed=seed, threads=threads
+    )
+    return [_mc_row("consistency", p.cfg, p.report, None) for p in curve]
+
+
+# Monte Carlo commands: the config keys each requires and its row builder.
+_MONTE_CARLO = {
+    "run": (("instance", "T", "policy"), _run_rows),
+    "sweep": (("sigmas", "T", "policy"), _sweep_rows),
+    "consistency": (("instance", "budgets", "policy"), _consistency_rows),
+}
+
+
+def _cmd_monte_carlo(args: argparse.Namespace) -> int:
+    required, rows = _MONTE_CARLO[args.command]
+    cfg = _load_config(args, args.command, required)
+    seed = _resolve_seed(args, cfg)
+    R = _resolve_reps(args, cfg)
+    threads = cfg.get("threads", 1) if args.threads is None else args.threads
+    estimator = cfg.get("estimator", "aipw")
+    return _emit_command(rows(cfg, seed, R, threads, estimator), args)
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
@@ -360,9 +335,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args, None)
-    threads = _resolve_threads(args, None)
     _log(f"verify: running 9 checks at full scale, seed={seed} (takes minutes)")
-    results = run_all(seed, threads)
+    results = run_all(seed, args.threads)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print(f"{status} {res.name} ({res.seconds:.1f} s): {res.detail}")
@@ -395,14 +369,12 @@ def _parser() -> argparse.ArgumentParser:
     common(sub.add_parser("bounds", help="closed-form bound curve on the gap grid"), mc=False)
     ver = sub.add_parser("verify", help="run the built-in verification suite")
     ver.add_argument("--seed", type=int, help="master seed (overrides env)")
-    ver.add_argument("--threads", type=int, help="worker threads for replication")
+    ver.add_argument("--threads", type=int, default=1, help="worker threads for replication")
     return parser
 
 
 _HANDLERS = {
-    "run": _cmd_run,
-    "sweep": _cmd_sweep,
-    "consistency": _cmd_consistency,
+    **dict.fromkeys(_MONTE_CARLO, _cmd_monte_carlo),
     "bounds": _cmd_bounds,
     "verify": _cmd_verify,
 }
@@ -412,7 +384,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:  # or an input the library rejects
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

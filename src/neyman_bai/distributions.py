@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,30 +115,53 @@ class Marginal:
             np.less(values, self.mean, out=values, casting="unsafe")
 
 
+def _entropy_term(p: float, q: float, d: float) -> float:
+    """p*log(p/q) + d for p, q > 0 and d = q - p, which is never negative.
+
+    For q/p in (1/2, 2) it is p*(x - log1p(x)) with x = d/p, accurate to
+    about 1e-16*|d|. Outside, x can overflow (p = 5e-324) or round to -1
+    (q = 1e-300), and the log form is accurate.
+    """
+    x = d / p
+    if -0.5 < x < 1.0:
+        return p * (x - math.log1p(x))
+    if q < sys.float_info.min:  # subnormal: p / q could overflow
+        return p * (math.log(p) - math.log(q)) + d
+    return p * math.log(p / q) + d
+
+
+def _bernoulli_kl(a: float, b: float) -> float:
+    """KL divergence between Bernoulli(a) and Bernoulli(b), a and b in (0, 1).
+
+    a*log(a/b) + (1-a)*log((1-a)/(1-b)) with b - a added to the first term
+    and a - b to the second, so that close means leave no cancelling terms.
+    """
+    return _entropy_term(a, b, b - a) + _entropy_term(1.0 - a, 1.0 - b, a - b)
+
+
 def kl_divergence(p: Marginal, q: Marginal) -> float:
     """Closed-form KL divergence KL(p, q) within one family.
 
     Gaussian pairs with equal variances use (mu_p - mu_q)^2 / (2 sigma^2),
     which is exact (no cancellation); unequal variances fall back to the
-    general Gaussian formula. Bernoulli uses the two-term log formula.
-    Raises for cross-family comparisons, which are not comparable models.
+    general Gaussian formula. Bernoulli pairs sum two nonnegative terms, so
+    close means do not cancel. Raises for cross-family comparisons, which
+    are not comparable models.
     """
     if p.family is not q.family:
         raise ValueError(
             f"KL divergence undefined across families ({p.family.value} vs {q.family.value})"
         )
-    if p.family is Family.GAUSSIAN:
-        d = p.mean - q.mean
-        if p.variance == q.variance:
-            return (d * d) / (2.0 * q.variance)
-        kl = (
-            0.5 * math.log(q.variance / p.variance)
-            + (p.variance + d * d) / (2.0 * q.variance)
-            - 0.5
-        )
-    else:
-        a, b = p.mean, q.mean
-        kl = a * math.log(a / b) + (1.0 - a) * math.log((1.0 - a) / (1.0 - b))
+    if p.family is Family.BERNOULLI:
+        return _bernoulli_kl(p.mean, q.mean)
+    d = p.mean - q.mean
+    if p.variance == q.variance:
+        return (d * d) / (2.0 * q.variance)
+    kl = (
+        0.5 * math.log(q.variance / p.variance)
+        + (p.variance + d * d) / (2.0 * q.variance)
+        - 0.5
+    )
     # Near p == q the terms cancel and rounding can leave a few ulps below 0.
     return max(kl, 0.0)
 

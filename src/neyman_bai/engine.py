@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Sequence
 
@@ -483,14 +483,16 @@ def sweep_worst_case(
         raise ValueError("sweep grid must be non-empty")
     if any(x <= 0.0 for x in grid):
         raise ValueError("sweep grid multipliers must be positive")
+    try:
+        arm1 = Marginal.gaussian(0.0, s1 * s1)
+        arm2 = Marginal.gaussian(0.0, s2 * s2)
+    except ValueError as exc:
+        raise ValueError(f"sweep sigmas {sigmas!r}: {exc}") from exc
     scale = (s1 + s2) / math.sqrt(T)
     points = []
     for x in grid:
         try:
-            inst = Instance(
-                Marginal.gaussian(x * scale, s1 * s1),
-                Marginal.gaussian(0.0, s2 * s2),
-            )
+            inst = Instance(replace(arm1, mean=float(x * scale)), arm2)
         except ValueError as exc:
             raise ValueError(f"sweep grid point x = {x!r}: {exc}") from exc
         cfg = TrialConfig(inst, T, policy, estimator, seed)

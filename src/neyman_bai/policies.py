@@ -17,7 +17,7 @@ by 1/w_min.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,12 @@ class Uniform:
 
 Policy = AdaptiveNeyman | OracleNeyman | Uniform
 
-POLICY_KINDS = ("adaptive_neyman", "oracle_neyman", "uniform")
+_CLASSES = {
+    "adaptive_neyman": AdaptiveNeyman,
+    "oracle_neyman": OracleNeyman,
+    "uniform": Uniform,
+}
+POLICY_KINDS = tuple(_CLASSES)
 
 
 @dataclass(frozen=True)
@@ -152,31 +157,21 @@ def block_cut(policy: Policy, T: int) -> int | None:
 
 def policy_to_config(policy: Policy) -> dict:
     """JSON-compatible description of a policy (see the config schema)."""
-    if isinstance(policy, AdaptiveNeyman):
-        return {"kind": "adaptive_neyman", "eta": policy.eta, "w_min": policy.w_min}
-    if isinstance(policy, OracleNeyman):
-        return {"kind": "oracle_neyman", "sigma1": policy.sigma1, "sigma2": policy.sigma2}
-    return {"kind": "uniform"}
+    kind = next(k for k, cls in _CLASSES.items() if type(policy) is cls)
+    return {"kind": kind, **asdict(policy)}
 
 
 def policy_from_config(cfg: dict) -> Policy:
-    """Inverse of policy_to_config; validates kinds and fields."""
+    """Inverse of policy_to_config; keys and defaults are the kind's fields."""
     kind = cfg.get("kind")
-    if kind == "adaptive_neyman":
-        extra = set(cfg) - {"kind", "eta", "w_min"}
-        if extra:
-            raise ValueError(f"unknown policy keys for adaptive_neyman: {sorted(extra)}")
-        return AdaptiveNeyman(cfg.get("eta", 1e-3), cfg.get("w_min", 0.01))
-    if kind == "oracle_neyman":
-        extra = set(cfg) - {"kind", "sigma1", "sigma2"}
-        if extra:
-            raise ValueError(f"unknown policy keys for oracle_neyman: {sorted(extra)}")
-        if "sigma1" not in cfg or "sigma2" not in cfg:
-            raise ValueError("oracle_neyman requires sigma1 and sigma2")
-        return OracleNeyman(cfg["sigma1"], cfg["sigma2"])
-    if kind == "uniform":
-        extra = set(cfg) - {"kind"}
-        if extra:
-            raise ValueError(f"unknown policy keys for uniform: {sorted(extra)}")
-        return Uniform()
-    raise ValueError(f"unknown policy kind {kind!r} (expected one of {POLICY_KINDS})")
+    if kind not in POLICY_KINDS:
+        raise ValueError(f"unknown policy kind {kind!r} (expected one of {POLICY_KINDS})")
+    cls = _CLASSES[kind]
+    names = [f.name for f in fields(cls)]
+    extra = set(cfg) - {"kind", *names}
+    if extra:
+        raise ValueError(f"unknown policy keys for {kind}: {sorted(extra)}")
+    missing = [f.name for f in fields(cls) if f.name not in cfg and f.default is MISSING]
+    if missing:
+        raise ValueError(f"{kind} requires {' and '.join(missing)}")
+    return cls(**{name: cfg[name] for name in names if name in cfg})

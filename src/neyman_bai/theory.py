@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import Instance, kl_divergence
+from .distributions import Instance, _bernoulli_kl, kl_divergence
 from .engine import Replications, TrialConfig, replicate
 from .policies import Policy
 
@@ -91,7 +91,7 @@ def binary_relative_entropy(x: float, y: float) -> float:
         return -math.log1p(-y)
     if x == 1.0:
         return -math.log(y)
-    return x * math.log(x / y) + (1.0 - x) * math.log((1.0 - x) / (1.0 - y))
+    return _bernoulli_kl(x, y)
 
 
 @dataclass(frozen=True)

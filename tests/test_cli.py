@@ -366,6 +366,71 @@ def test_grid_point_beyond_the_mean_limit_is_a_config_error(tmp_path):
     assert "error: sweep grid point x = 1e+300: mean must lie" in proc.stderr
 
 
+def _cli_process(argv):
+    src = Path(cli.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-m", "neyman_bai.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+
+
+SMALL_CONFIGS = {
+    "run": {**RUN_CONFIG, "R": 5},
+    "sweep": {"sigmas": [1.0, 2.0], "T": 20, "policy": {"kind": "uniform"}, "R": 5},
+    "consistency": {"instance": RUN_CONFIG["instance"], "budgets": [10, 20],
+                    "policy": {"kind": "uniform"}, "R": 5},
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag, message",
+    [
+        (command, flag, message)
+        for command in ("run", "sweep", "consistency")
+        for flag, message in (("--reps", "R must be >= 1"), ("--threads", "threads must be >= 1"))
+    ] + [("verify", "--threads", "threads must be >= 1")],
+)
+def test_library_rejection_exits_two(tmp_path, command, flag, message):
+    """The library rejects R and threads below 1; the CLI prints its message."""
+    argv = [command, flag, "0"]
+    if command in SMALL_CONFIGS:
+        argv += ["--config", _write_config(tmp_path, SMALL_CONFIGS[command])]
+    proc = _cli_process(argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert f"error: {message}, got 0" in proc.stderr
+
+
+def test_config_that_is_not_utf8_names_its_path(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"T": 50, "policy": {"kind": "uniform"}} \xff')
+    assert main(["run", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: cannot read config {path}: 'utf-8' codec can't decode" in err
+
+
+def test_bernoulli_variance_mismatch_names_its_key(tmp_path, capsys):
+    instance = {"family": "bernoulli", "means": [0.6, 0.4], "variances": [0.24, 0.25]}
+    cfg = _write_config(tmp_path, {**RUN_CONFIG, "instance": instance})
+    assert main(["run", "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: config key 'instance/variances': bernoulli variance" in err
+
+
+@pytest.mark.parametrize("given, missing", [("sigma1", "sigma2"), ("sigma2", "sigma1")])
+def test_one_missing_oracle_sigma_is_named(tmp_path, capsys, given, missing):
+    policy = {"kind": "oracle_neyman", given: 1.0}
+    cfg = _write_config(tmp_path, {**RUN_CONFIG, "policy": policy})
+    assert main(["run", "--config", cfg]) == 2
+    assert f"error: config key 'policy': oracle_neyman requires {missing}\n" in (
+        capsys.readouterr().err
+    )
+
+
 def test_unwritable_out_path_is_an_io_error(tmp_path, capsys):
     cfg = _write_config(tmp_path, RUN_CONFIG)
     target = tmp_path / "no" / "such" / "dir" / "out.csv"

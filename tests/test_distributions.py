@@ -1,6 +1,7 @@
 """Marginals, instances, divergences, and the lower-bound construction."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -21,6 +22,18 @@ from neyman_bai.rng import spawn
 # Independent oracle: log 2 minus the natural entropy of 0.1, i.e.
 # d(x, 1/2) = log 2 - H(x) with H(x) = -x log x - (1-x) log(1-x).
 D_01_05 = math.log(2.0) - (-0.1 * math.log(0.1) - 0.9 * math.log(0.9))
+
+
+def _exact_bernoulli_kl(a: float, b: float) -> Decimal:
+    """KL(Bernoulli(a), Bernoulli(b)) in 400-digit decimal arithmetic.
+
+    The floats convert to Decimal exactly, and 400 digits keep the
+    log of (1-a)/(1-b) exact enough even when a and b are near 5e-324.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 400
+        a, b, one = Decimal(a), Decimal(b), Decimal(1)
+        return a * (a / b).ln() + (one - a) * ((one - a) / (one - b)).ln()
 
 
 class TestMarginalConstruction:
@@ -105,9 +118,26 @@ class TestKL:
 
     def test_bernoulli_value(self):
         got = kl_divergence(Marginal.bernoulli(0.5), Marginal.bernoulli(0.6))
-        oracle = 0.5 * math.log(0.5 / 0.6) + 0.5 * math.log(0.5 / 0.4)
+        # _exact_bernoulli_kl(0.5, 0.6) to 50 digits (0.6 being the float nearest 0.6)
+        oracle = 0.020410997260127555525429994034689877651198730129508
         assert got == pytest.approx(oracle, rel=1e-15)
         assert got == pytest.approx(0.0204, abs=5e-5)
+
+    @given(
+        a=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        b=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    @example(a=5e-324, b=0.5)  # (b - a)/a overflows
+    @example(a=0.5, b=1e-300)  # (b - a)/a rounds to -1
+    @example(a=0.5, b=5e-324)  # a/b overflows
+    @example(a=0.3, b=0.301)  # verify check 8's pair, where the log terms cancel
+    @settings(max_examples=200)
+    def test_bernoulli_matches_exact_value(self, a, b):
+        """Within 1e-14 relative, plus the rounding of log1p near a == b."""
+        got = kl_divergence(Marginal.bernoulli(a), Marginal.bernoulli(b))
+        exact = _exact_bernoulli_kl(a, b)
+        error = abs(Decimal(got) - exact)
+        assert error <= Decimal(1e-14) * exact + Decimal(4.5e-16 * abs(b - a)) + Decimal(1e-320)
 
     def test_identical_marginals_give_zero(self):
         m = Marginal.gaussian(1.0, 3.0)

@@ -366,6 +366,13 @@ class TestSweep:
             )
         assert isinstance(info.value.__cause__, ValueError)
 
+    def test_variance_beyond_the_limit_names_the_sigmas(self):
+        # sigma1^2 = 1e120 fails at every grid point, so no point is blamed
+        with pytest.raises(ValueError, match=r"^sweep sigmas \(1e\+60, 1\.0\): variance") as info:
+            sweep_worst_case((1e60, 1.0), 100, Uniform(), "aipw", R=5, seed=0)
+        assert "grid point" not in str(info.value)
+        assert isinstance(info.value.__cause__, ValueError)
+
 
 class TestConsistencyCurve:
     def test_budgets_produce_one_point_each(self):

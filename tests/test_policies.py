@@ -204,3 +204,22 @@ class TestPolicyConfig:
             policy_from_config({"kind": "uniform", "eta": 0.5})
         with pytest.raises(ValueError, match="sigma1 and sigma2"):
             policy_from_config({"kind": "oracle_neyman"})
+
+    def test_omitted_keys_take_the_dataclass_defaults(self):
+        assert policy_from_config({"kind": "adaptive_neyman"}) == AdaptiveNeyman()
+        partial = {"kind": "adaptive_neyman", "w_min": 0.1}
+        assert policy_from_config(partial) == AdaptiveNeyman(w_min=0.1)
+
+    @pytest.mark.parametrize("given, missing", [("sigma1", "sigma2"), ("sigma2", "sigma1")])
+    def test_one_missing_oracle_sigma_is_named(self, given, missing):
+        with pytest.raises(ValueError, match=f"^oracle_neyman requires {missing}$"):
+            policy_from_config({"kind": "oracle_neyman", given: 1.0})
+
+    def test_to_config_lists_every_field(self):
+        assert policy_to_config(AdaptiveNeyman()) == {
+            "kind": "adaptive_neyman", "eta": 1e-3, "w_min": 0.01,
+        }
+        assert policy_to_config(OracleNeyman(1.0, 2.0)) == {
+            "kind": "oracle_neyman", "sigma1": 1.0, "sigma2": 2.0,
+        }
+        assert policy_to_config(Uniform()) == {"kind": "uniform"}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from neyman_bai.distributions import Instance, Marginal, lower_bound_alternative
+from neyman_bai.distributions import Instance, Marginal, kl_divergence, lower_bound_alternative
 from neyman_bai.engine import sweep_worst_case
 from neyman_bai.policies import OracleNeyman, Uniform
 from neyman_bai.theory import (
@@ -131,6 +131,11 @@ class TestBinaryRelativeEntropy:
         # decomposition oracle: log 2 minus the binary entropy of 0.1
         h = -(0.1 * math.log(0.1) + 0.9 * math.log(0.9))
         assert binary_relative_entropy(0.1, 0.5) == pytest.approx(math.log(2) - h, abs=1e-15)
+
+    def test_interior_agrees_with_kl_divergence(self):
+        for x, y in [(5e-324, 0.5), (0.5, 1e-300), (0.3, 0.301), (0.1, 0.5)]:
+            bernoulli = kl_divergence(Marginal.bernoulli(x), Marginal.bernoulli(y))
+            assert binary_relative_entropy(x, y) == bernoulli
 
     def test_degenerate_reference_is_infinite(self):
         assert binary_relative_entropy(0.3, 0.0) == math.inf
