@@ -14,12 +14,20 @@ replications) blocks of about _CHUNK_CELLS cells per stream, so memory
 does not grow with T. A Philox stream is fixed by its key, and drawing it
 in pieces gives the same values as one draw, so the blocks hold exactly
 one whole-trial draw per stream (see _fill for how streams are opened).
+Arm 1's stream stays as standard draws in the blocks; the kernels map it
+to outcomes one round at a time, z * sd + mean (u < mean for Bernoulli),
+the same operations as Marginal.to_outcomes. A worst-case sweep's points
+differ only in arm 1's mean, so replicate(cfg, R, threads, arm1_means=...)
+runs them all on one fill: every kernel call takes a (points, replications)
+state and maps each round's arm-1 draws once per mean.
+
 run_trial walks its replication's tables, one block of T rounds, with a
 readable scalar loop; replicate runs the same arithmetic vectorized, one
 kernel call per block on the calling thread, carrying each replication's
 running sums from block to block. With threads > 1, worker threads only
 fill blocks, each its own rows. Results are bit-identical to the scalar
-path and independent of blocks, chunks and thread count.
+path and independent of blocks, chunks, thread count and the other points
+of a sweep.
 
 Regret bookkeeping uses the two-arm identity: expected simple regret equals
 gap times misidentification probability, so the engine counts wrong
@@ -37,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import Instance, Marginal, best_arm
+from .distributions import Family, Instance, Marginal, best_arm
 from .estimators import ESTIMATORS, ESTIMATOR_KINDS, RoundRecord, recommend
 from .policies import (
     AdaptiveNeyman,
@@ -134,18 +142,20 @@ def _fill(cfg, lo, t0, blocks, gens, rows, scratch) -> None:
     """Draw the rounds of one block for chunk rows a..b-1 (rows = (a, b)).
 
     blocks[k][t, j] receives round t0 + t of stream 4(lo + j) + k: arm-1
-    outcomes, arm-2 outcomes and, for adaptive policies, selection
-    uniforms. Under a block schedule arm 1 is never observed from the cut
-    on, so those rounds of its stream are not drawn and stay unset. When
-    the block holds whole trials (gens is None), one generator is opened
-    with spawn and re-keyed for every later stream; otherwise gens[k][j]
-    keeps stream k of row j open across blocks, and the first block
-    (t0 == 0) spawns it.
+    standard draws (normals, or uniforms for Bernoulli), arm-2 outcomes
+    and, for adaptive policies, selection uniforms. Arm 1 is left unmapped
+    because its outcomes depend on the mean, which differs between the
+    points of a sweep; the kernels map it per round. Under a block
+    schedule arm 1 is never observed from the cut on, so those rounds of
+    its stream are not drawn and stay unset. When the block holds whole
+    trials (gens is None), one generator is opened with spawn and re-keyed
+    for every later stream; otherwise gens[k][j] keeps stream k of row j
+    open across blocks, and the first block (t0 == 0) spawns it.
 
     Each row's standard draws take one call that releases the interpreter
     lock; every _BAND rows the scratch, still in cache, is transposed into
-    the block, and whole blocks are mapped to outcomes, so parallel fills
-    seldom wait on the lock.
+    the block, and arm 2's whole block is mapped to outcomes, so parallel
+    fills seldom wait on the lock.
     """
     a, b = rows
     n = blocks.shape[1]
@@ -176,7 +186,7 @@ def _fill(cfg, lo, t0, blocks, gens, rows, scratch) -> None:
                 else:
                     arm.draw_standard(gen, band[j - i])
             block[:m, i:c] = band.T
-        if arm is not None:
+        if k == 1:  # arm 2; arm 1 stays standard draws for the kernels
             arm.to_outcomes(block[:m, a:b])
 
 
@@ -247,11 +257,12 @@ def run_trial_records(
     """One trial, returning its per-round records alongside the result.
 
     Its tables come from replicate's fill, as one replication in one block
-    of T rounds.
+    of T rounds; arm 1's drawn rounds are mapped here with to_outcomes.
     """
     _require_int("replication", replication, 62)
     ((_, tables),) = _blocks(cfg, replication, replication + 1, cfg.T)
     y1, y2, *u = tables[:, :, 0]
+    cfg.instance.arm1.to_outcomes(y1[: block_cut(cfg.policy, cfg.T)])
     return simulate_rounds(
         cfg.instance, cfg.T, cfg.policy, cfg.estimator, y1, y2, u[0] if u else None
     )
@@ -262,25 +273,40 @@ def run_trial(cfg: TrialConfig, replication: int = 0) -> TrialResult:
     return run_trial_records(cfg, replication)[1]
 
 
-def _kernel_adaptive(policy: AdaptiveNeyman, estimator: str, t0: int, tables, state=None):
+def _arm1_outcomes(arm: Marginal, means: np.ndarray):
+    """Map one round's arm-1 standard draws z, shape (B,), to (G, B) outcomes.
+
+    Row g holds the outcomes under means[g]: z * sd + mean for a Gaussian
+    arm, (u < mean) as 0.0/1.0 for a Bernoulli one. These are the
+    operations of Marginal.to_outcomes, in the same order, so every value
+    matches it bit for bit.
+    """
+    col = means[:, None]
+    if arm.family is Family.GAUSSIAN:
+        sd = arm.sd
+        return lambda z: z * sd + col
+    return lambda z: (z < col).astype(np.float64)
+
+
+def _kernel_adaptive(policy: AdaptiveNeyman, estimator: str, arm1, t0: int, tables, state):
     """Adaptive-Neyman rounds t0.. of one round-major block, vectorized.
 
     Mirrors simulate_rounds operation for operation (same divisions, same
     accumulation order over t), so each column equals the scalar path bit
-    for bit once replicate divides. state carries the per-replication sums
-    (acc1, acc2, n1, n2, mean1, mean2, m2_1, m2_2) from the previous block,
-    None before round 0; the updated state is returned.
+    for bit once replicate divides. tables holds arm-1 standard draws,
+    arm-2 outcomes and selection uniforms, each (rounds, B); arm1 maps a
+    round's draws to (G, B) outcomes (see _arm1_outcomes). state carries
+    the (G, B) sums (acc1, acc2, n1, n2, mean1, mean2, m2_1, m2_2) from the
+    previous block, zeros before round 0; the updated state is returned.
     """
-    y1, y2, u = tables
+    z1, y2, u = tables
     eta = policy.eta
     w_min = policy.w_min
     aipw = estimator == "aipw"
     ipw = estimator == "ipw"
-    if state is None:
-        state = np.zeros((8, y1.shape[1]))
     acc1, acc2, n1, n2, mean1, mean2, m2_1, m2_2 = state
 
-    for t in range(len(y1)):
+    for t in range(len(z1)):
         if t0 + t == 0:
             w1 = 0.5
             w2 = 0.5
@@ -293,7 +319,7 @@ def _kernel_adaptive(policy: AdaptiveNeyman, estimator: str, t0: int, tables, st
             w2 = 1.0 - w1
         pick = u[t] < w1
         notpick = ~pick
-        y = np.where(pick, y1[t], y2[t])
+        y = np.where(pick, arm1(z1[t]), y2[t])
 
         if aipw:
             acc1 += np.where(pick, (y - mean1) / w1, 0.0) + mean1
@@ -317,25 +343,24 @@ def _kernel_adaptive(policy: AdaptiveNeyman, estimator: str, t0: int, tables, st
     return acc1, acc2, n1, n2, mean1, mean2, m2_1, m2_2
 
 
-def _kernel_block(cut: int, w_target: float, estimator: str, t0: int, tables, state=None):
+def _kernel_block(cut: int, w_target: float, estimator: str, arm1, t0: int, tables, state):
     """Block-schedule rounds t0.. (oracle Neyman / uniform), vectorized.
 
     Arm 1 owns rounds 0..cut-1, arm 2 the rest; counts are deterministic.
-    Accumulation order over t matches the scalar path exactly. state
-    carries (acc1, acc2, mean1, mean2) across blocks, as in _kernel_adaptive.
+    Accumulation order over t matches the scalar path exactly. tables and
+    arm1 are as in _kernel_adaptive, without the uniforms; state carries
+    the (G, B) sums (acc1, acc2, mean1, mean2) across blocks.
     """
-    y1, y2 = tables
+    z1, y2 = tables
     aipw = estimator == "aipw"
     ipw = estimator == "ipw"
     w1 = w_target
     w2 = 1.0 - w_target
-    if state is None:
-        state = np.zeros((4, y1.shape[1]))
     acc1, acc2, mean1, mean2 = state
 
-    for t in range(t0, t0 + len(y1)):
+    for t in range(t0, t0 + len(z1)):
         if t < cut:
-            y = y1[t - t0]
+            y = arm1(z1[t - t0])
             if aipw:
                 # acc2 would gain mu_tilde(2) == 0.0 on these rounds; skipped.
                 acc1 += (y - mean1) / w1 + mean1
@@ -366,40 +391,18 @@ def _layout(R: int, T: int) -> tuple[int, int]:
     return rows, min(T, max(1, _CHUNK_CELLS // rows))
 
 
-def replicate(cfg: TrialConfig, R: int, threads: int = 1) -> Replications:
-    """Run replications 0..R-1 of cfg, vectorized, in replication order.
+def _with_arm1_mean(cfg: TrialConfig, mean) -> TrialConfig:
+    """cfg with arm 1's mean replaced and its variance kept."""
+    inst = cfg.instance
+    return replace(cfg, instance=Instance(replace(inst.arm1, mean=float(mean)), inst.arm2))
 
-    Element i reproduces run_trial(cfg, i) exactly. Results, and the error
-    for an arm the sample-mean estimator never observed (naming the lowest
-    such replication, arm 1 first), do not depend on chunks, blocks or
-    `threads`. Worker threads only fill tables; the kernels run here.
+
+def _finish(cfg: TrialConfig, acc: np.ndarray, n1: np.ndarray) -> Replications:
+    """Replications of cfg from its (R, 2) sums and arm-1 counts.
+
+    Raises for an arm the sample-mean estimator never observed, naming the
+    lowest such replication, arm 1 first.
     """
-    _require_int("R", R)
-    _require_int("threads", threads)
-    if R < 1:
-        raise ValueError(f"R must be >= 1, got {R}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    n1 = np.empty(R, dtype=np.int64)
-    acc = np.empty((R, 2))
-    if isinstance(cfg.policy, AdaptiveNeyman):
-        kernel = partial(_kernel_adaptive, cfg.policy, cfg.estimator)
-        cut = None
-    else:
-        cut = block_cut(cfg.policy, cfg.T)
-        w_target = allocation_probability(AllocationState(), cfg.policy)
-        kernel = partial(_kernel_block, cut, w_target, cfg.estimator)
-
-    rows, rounds = _layout(R, cfg.T)
-    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
-        for lo in range(0, R, rows):
-            hi = min(lo + rows, R)
-            state = None
-            for t0, tables in _blocks(cfg, lo, hi, rounds, threads, pool):
-                state = kernel(t0, tables, state)
-            acc[lo:hi, 0], acc[lo:hi, 1] = state[:2]
-            n1[lo:hi] = state[2] if cut is None else cut
-
     if cfg.estimator == "sample_mean":
         counts = np.column_stack((n1, cfg.T - n1))
         for arm in (1, 2):
@@ -417,14 +420,71 @@ def replicate(cfg: TrialConfig, R: int, threads: int = 1) -> Replications:
     return Replications(recommended, correct, n1, mu_hat)
 
 
-def run_monte_carlo(cfg: TrialConfig, R: int, threads: int = 1) -> MCReport:
-    """Aggregate R replications into misidentification and regret figures.
+def replicate(
+    cfg: TrialConfig, R: int, threads: int = 1, *, arm1_means: Sequence[float] | None = None
+) -> Replications | tuple[Replications, ...]:
+    """Run replications 0..R-1 of cfg, vectorized, in replication order.
+
+    Element i reproduces run_trial(cfg, i) exactly. Results, and the error
+    for an arm the sample-mean estimator never observed (naming the lowest
+    such replication, arm 1 first), do not depend on chunks, blocks or
+    `threads`. Worker threads only fill tables; the kernels run here.
+
+    With arm1_means, runs one configuration per mean, cfg with arm 1's
+    mean set to it and its variance kept, and returns a tuple of
+    Replications in that order, each equal to replicate() of its
+    configuration. The points share one fill of the tables, and each
+    kernel call runs all of them; an error names the first failing point's
+    replication, as separate calls in order would.
+    """
+    _require_int("R", R)
+    _require_int("threads", threads)
+    if R < 1:
+        raise ValueError(f"R must be >= 1, got {R}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    if arm1_means is None:
+        points = [cfg]
+    elif len(arm1_means) == 0:
+        raise ValueError("arm1_means must be non-empty")
+    else:
+        points = [_with_arm1_mean(cfg, m) for m in arm1_means]
+    means = np.array([p.instance.arm1.mean for p in points])
+    arm1 = _arm1_outcomes(cfg.instance.arm1, means)
+    n1 = np.empty((len(points), R), dtype=np.int64)
+    acc = np.empty((len(points), R, 2))
+    if isinstance(cfg.policy, AdaptiveNeyman):
+        kernel = partial(_kernel_adaptive, cfg.policy, cfg.estimator, arm1)
+        sums = 8
+        cut = None
+    else:
+        cut = block_cut(cfg.policy, cfg.T)
+        w_target = allocation_probability(AllocationState(), cfg.policy)
+        kernel = partial(_kernel_block, cut, w_target, cfg.estimator, arm1)
+        sums = 4
+
+    rows, rounds = _layout(R, cfg.T)
+    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+        for lo in range(0, R, rows):
+            hi = min(lo + rows, R)
+            state = np.zeros((sums, len(points), hi - lo))
+            for t0, tables in _blocks(cfg, lo, hi, rounds, threads, pool):
+                state = kernel(t0, tables, state)
+            acc[:, lo:hi, 0], acc[:, lo:hi, 1] = state[:2]
+            n1[:, lo:hi] = state[2] if cut is None else cut
+
+    reps = tuple(_finish(p, acc[g], n1[g]) for g, p in enumerate(points))
+    return reps[0] if arm1_means is None else reps
+
+
+def _report(cfg: TrialConfig, reps: Replications) -> MCReport:
+    """Aggregate cfg's replications into misidentification and regret figures.
 
     Aggregation uses integer counts only (wrong recommendations, arm-1
     rounds), so the report is bit-identical across thread counts and
     chunkings; mean_regret is computed as gap * misid_prob by definition.
     """
-    reps = replicate(cfg, R, threads)
+    R = len(reps.correct)
     wrong = R - int(reps.correct.sum())
     p = wrong / R
     se = math.sqrt(p * (1.0 - p) / R)
@@ -436,6 +496,11 @@ def run_monte_carlo(cfg: TrialConfig, R: int, threads: int = 1) -> MCReport:
     total = R * cfg.T
     alloc = (pulls1 / total, (total - pulls1) / total)
     return MCReport(R, p, se, mean_regret, regret_se, scaled_regret, alloc)
+
+
+def run_monte_carlo(cfg: TrialConfig, R: int, threads: int = 1) -> MCReport:
+    """Aggregate R replications into misidentification and regret figures."""
+    return _report(cfg, replicate(cfg, R, threads))
 
 
 @dataclass(frozen=True)
@@ -472,9 +537,13 @@ def sweep_worst_case(
     """Scaled regret across gaps Delta = x * (sigma1+sigma2)/sqrt(T).
 
     Each grid multiplier x builds a Gaussian instance with means (Delta, 0)
-    and the given variances, then runs a full Monte Carlo. All points share
-    the master seed, i.e. common random numbers across the grid, which
-    makes the empirical argmax comparison less noisy.
+    and the given variances, and gets a full Monte Carlo report. All points
+    share the master seed, i.e. common random numbers across the grid,
+    which makes the empirical argmax comparison less noisy. Since the
+    points differ only in arm 1's mean, one replicate call runs them all:
+    the tables are drawn once, and each kernel call maps a round's arm-1
+    draws for every point. Each point's report equals run_monte_carlo on
+    its configuration.
     """
     s1, s2 = sigmas
     if s1 <= 0.0 or s2 <= 0.0:
@@ -488,16 +557,20 @@ def sweep_worst_case(
         arm2 = Marginal.gaussian(0.0, s2 * s2)
     except ValueError as exc:
         raise ValueError(f"sweep sigmas {sigmas!r}: {exc}") from exc
+    base = TrialConfig(Instance(arm1, arm2), T, policy, estimator, seed)
     scale = (s1 + s2) / math.sqrt(T)
-    points = []
+    cfgs = []
     for x in grid:
         try:
-            inst = Instance(replace(arm1, mean=float(x * scale)), arm2)
+            cfgs.append(_with_arm1_mean(base, x * scale))
         except ValueError as exc:
             raise ValueError(f"sweep grid point x = {x!r}: {exc}") from exc
-        cfg = TrialConfig(inst, T, policy, estimator, seed)
-        points.append(SweepPoint(float(x), cfg, run_monte_carlo(cfg, R, threads)))
-    return SweepResult((s1, s2), T, tuple(points))
+    means = [cfg.instance.arm1.mean for cfg in cfgs]
+    reps = replicate(base, R, threads, arm1_means=means)
+    points = tuple(
+        SweepPoint(float(x), cfg, _report(cfg, r)) for x, cfg, r in zip(grid, cfgs, reps)
+    )
+    return SweepResult((s1, s2), T, points)
 
 
 @dataclass(frozen=True)

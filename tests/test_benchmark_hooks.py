@@ -35,17 +35,26 @@ def _assert_traced(recorded):
 
 
 def test_traced_sweep(tmp_path):
+    """A three-point sweep, traced at two threads and then at one.
+
+    perfbench/run.py repeats the sweep at its thread count and then runs
+    it once at the other, and divides by the replicate wall time of each,
+    so every sweep must reach engine.replicate through the module attribute.
+    """
     doc = {"sigmas": [1.0, 2.0], "T": T, "policy": {"kind": "adaptive_neyman"},
-           "estimator": "aipw", "R": R, "grid": [1.0], "seed": 1, "threads": THREADS}
+           "estimator": "aipw", "R": R, "grid": [0.5, 1.0, 1.5], "seed": 1}
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps(doc), encoding="utf-8")
     out = tmp_path / "out.csv"
     with spans.installed(spans.Tracer()) as tracer:
-        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-    recorded = tracer.take()
-    _assert_traced(recorded)
-    names = {s.name for s in recorded}
-    assert {spans.PARSE, spans.EMIT, spans.RUN_MC, spans.DRIVERS[0]} <= names
+        for threads in (THREADS, 1):
+            argv = ["sweep", "--config", str(cfg), "--out", str(out), "--threads", str(threads)]
+            assert cli.main(argv) == 0
+            recorded = tracer.take()
+            _assert_traced(recorded)
+            names = {s.name for s in recorded}
+            assert {spans.PARSE, spans.EMIT, spans.DRIVERS[0]} <= names
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 1 + len(doc["grid"])
 
 
 def test_traced_transportation():

@@ -220,12 +220,17 @@ class TestStreamIdentity:
 
     @staticmethod
     def _assert_fresh_streams(cfg, lo, tables):
-        """Columns equal fresh streams; arm 1 only up to a block schedule's cut."""
+        """Columns equal fresh streams; arm 1 only up to a block schedule's cut.
+
+        Arm 1 holds standard draws, which to_outcomes maps to its outcomes.
+        """
         inst, seed, T = cfg.instance, cfg.seed, cfg.T
         cut = block_cut(cfg.policy, T)
         m = T if cut is None else cut
         for j, i in enumerate(range(lo, lo + tables.shape[2])):
-            assert tables[0][:m, j].tobytes() == inst.arm1.draw(spawn(seed, 4 * i), m).tobytes()
+            y1 = tables[0][:m, j].copy()
+            inst.arm1.to_outcomes(y1)
+            assert y1.tobytes() == inst.arm1.draw(spawn(seed, 4 * i), m).tobytes()
             assert tables[1][:, j].tobytes() == inst.arm2.draw(spawn(seed, 4 * i + 1), T).tobytes()
             if len(tables) == 3:
                 assert tables[2][:, j].tobytes() == spawn(seed, 4 * i + 2).random(T).tobytes()
@@ -330,7 +335,86 @@ class TestReports:
         assert rep.mean_alloc_frac == (0.5, 0.5)
 
 
+def _sweep_configs(policy, estimator, T, grid, seed, sigmas=(1.0, 2.0)):
+    """One configuration per grid point, built the way a sweep documents them."""
+    s1, s2 = sigmas
+    scale = (s1 + s2) / math.sqrt(T)
+    return [
+        TrialConfig(
+            Instance(Marginal.gaussian(x * scale, s1 * s1), Marginal.gaussian(0.0, s2 * s2)),
+            T, policy, estimator, seed,
+        )
+        for x in grid
+    ]
+
+
 class TestSweep:
+    """A sweep runs its points in one replicate call on shared tables.
+
+    Forced 5-row chunks and 7-round blocks (R = 13, T = 37), as in
+    TestBlockBoundaries, so the points share several chunks and blocks.
+    """
+
+    @pytest.mark.parametrize("est", ["aipw", "ipw", "sample_mean"])
+    @pytest.mark.parametrize(
+        "policy", [AdaptiveNeyman(eta=0.2), OracleNeyman(1.0, 2.0), Uniform()],
+        ids=["adaptive", "oracle", "uniform"],
+    )
+    def test_points_equal_separate_replicate_calls(self, policy, est, monkeypatch):
+        R, T, grid = 13, 37, (0.25, 1.0, 3.0)
+        _force_layout(monkeypatch, 5, 35)
+        cfgs = _sweep_configs(policy, est, T, grid, seed=7)
+        means = [cfg.instance.arm1.mean for cfg in cfgs]
+        for threads in (1, 2):
+            stacked = replicate(cfgs[0], R, threads, arm1_means=means)
+            res = sweep_worst_case((1.0, 2.0), T, policy, est, R, seed=7, grid=grid,
+                                   threads=threads)
+            assert len(stacked) == len(res.points) == len(grid)
+            for g, cfg in enumerate(cfgs):
+                label = (type(policy).__name__, est, threads, grid[g])
+                alone = replicate(cfg, R, threads)
+                for field in ("recommended", "correct", "n1", "mu_hat"):
+                    got, want = getattr(stacked[g], field), getattr(alone, field)
+                    assert got.dtype == want.dtype, (label, field)
+                    assert np.array_equal(got, want), (label, field)
+                assert res.points[g].cfg == cfg, label
+                assert res.points[g].report == run_monte_carlo(cfg, R, threads), label
+
+    def test_starved_sweep_raises_the_first_failing_points_message(self, monkeypatch):
+        """The error a sample-mean sweep raises is that of the first point, in
+        grid order, whose separate replicate call raises.
+
+        At x = 1e17 and 3e16 arm 1's mean is near 6.7e16 and 2.0e16, where
+        outcomes are spaced 8 and 4 apart against a standard deviation of 1.
+        Its variance estimate, and so the allocation, then differs from
+        x = 0.5's: the first point starves no replication, the second
+        starves a later one than the third.
+        """
+        R, T, grid = 13, 20, (1e17, 3e16, 0.5)
+        _force_layout(monkeypatch, 5, 35)
+        cfgs = _sweep_configs(AdaptiveNeyman(), "sample_mean", T, grid, seed=16)
+        errors = []
+        for cfg in cfgs:
+            try:
+                replicate(cfg, R)
+                errors.append(None)
+            except ValueError as exc:
+                errors.append(str(exc))
+        assert errors[0] is None
+        assert None not in errors[1:] and errors[1] != errors[2]
+        for threads in (1, 2):
+            with pytest.raises(ValueError) as err:
+                sweep_worst_case((1.0, 2.0), T, AdaptiveNeyman(), "sample_mean", R, seed=16,
+                                 grid=grid, threads=threads)
+            assert str(err.value) == errors[1]
+
+    def test_arm1_means_are_checked(self):
+        cfg = TrialConfig(GAUSS, 20, Uniform(), "aipw", seed=1)
+        with pytest.raises(ValueError, match="non-empty"):
+            replicate(cfg, 5, arm1_means=[])
+        with pytest.raises(ValueError, match="mean must lie within"):
+            replicate(cfg, 5, arm1_means=[0.0, 1e101])
+
     def test_grid_layout_and_gaps(self):
         res = sweep_worst_case((1.0, 2.0), 100, Uniform(), "aipw", R=50, seed=9)
         assert res.sigmas == (1.0, 2.0)

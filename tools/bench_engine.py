@@ -1,25 +1,33 @@
 """Layer benchmark of the Monte Carlo engine, written to a BENCH_*.json file.
 
 Usage:
-    python3 tools/bench_engine.py --out BENCH_<n>.json [--src DIR] [--label NAME]
+    python3 tools/bench_engine.py --out BENCH_<n>.json --side LABEL=SRC [--side ...]
+                                  [--repeats N]
 
-Imports neyman_bai from DIR (default: this checkout's src/) and measures,
-on one process:
+Each side is a label and a source directory holding neyman_bai, for
+example `--side parent=../parent/src --side change=src` for a checkout of
+the parent commit next to this one. Every repeat measures each side once,
+in a fresh interpreter, and the sides alternate which goes first from one
+repeat to the next, so a slow stretch of a shared host falls on both
+sides alike. One measurement covers:
 
 - table fill: ns per replication-round cell to draw every table a
   replicate call draws, without the kernels, per family, on one thread;
 - kernel ns/cell for the adaptive (AIPW) and the block (uniform, AIPW)
   kernels at 400 to 16,000 rows, on one round-major block of 256 rounds
-  of Gaussian draws;
+  of Gaussian draws, one configuration;
 - replicate wall and CPU time for adaptive Neyman + AIPW at R = 3200,
   T = 10^4 and threads 1, 2 and 4;
+- the benchmark's sweep (`sweep_adaptive_2t`): sigmas (1, 2), adaptive
+  Neyman + AIPW, grid 0.5/1/1.5, R = 1600, T = 10^4, threads 2, as wall
+  and CPU time and cells per second;
 - the line count of src/ and the size of neyman_bai.__all__.
 
-Results go under `label` in the output file, next to the host (nproc,
-Python and numpy versions) and any labels already there, so a run on a
-checkout of the parent commit (--src that/src --label parent) and one on
-this checkout (--label change) sit side by side. The engine must draw its
-tables in round blocks (engine._blocks, from version 0.5.0 on).
+Under `runs`, each label holds the median of every figure over the
+repeats and the measurements of each repeat, next to the host (nproc,
+CPU model, Python and numpy versions). Labels already in the file and not
+measured again are kept. The engine must draw its tables in round blocks
+(engine._blocks, from version 0.5.0 on).
 """
 
 from __future__ import annotations
@@ -29,27 +37,33 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parents[1]
 WIDTHS = (400, 800, 1600, 3200, 8000, 16000)
 KERNEL_ROUNDS = 256
 FILL_SHAPES = ((2000, 1600), (50, 20000))  # (T, R)
 REPLICATE = {"R": 3200, "T": 10_000}
 THREADS = (1, 2, 4)
+SWEEP = {"sigmas": (1.0, 2.0), "T": 10_000, "grid": (0.5, 1.0, 1.5), "R": 1600, "threads": 2}
 
 
 def _args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--src", type=Path, default=ROOT / "src")
-    p.add_argument("--label", default="change")
-    p.add_argument("--repeats", type=int, default=3)
-    return p.parse_args(argv)
+    p.add_argument("--out", type=Path)
+    p.add_argument("--side", action="append", default=[], metavar="LABEL=SRC")
+    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if args.worker is None and (args.out is None or not args.side):
+        p.error("--out and at least one --side are required")
+    if any("=" not in side for side in args.side):
+        p.error("--side takes LABEL=SRC")
+    return args
 
 
 def _host() -> dict:
@@ -67,13 +81,10 @@ def _host() -> dict:
     }
 
 
-def _best(fn, repeats: int) -> float:
-    times = []
-    for _ in range(repeats):
-        t = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t)
-    return min(times)
+def _seconds(fn) -> float:
+    t = time.perf_counter()
+    fn()
+    return time.perf_counter() - t
 
 
 def _fill_all(engine, cfg, R: int) -> None:
@@ -86,22 +97,40 @@ def _fill_all(engine, cfg, R: int) -> None:
 
 def _kernels(engine, width: int):
     """(adaptive, block) kernel calls over KERNEL_ROUNDS rounds of `width` rows."""
+    from neyman_bai.distributions import Marginal
     from neyman_bai.policies import AdaptiveNeyman
 
     rng = np.random.default_rng(width)
     shape = (KERNEL_ROUNDS, width)
-    y1 = 0.03 + rng.standard_normal(shape)
+    z1 = rng.standard_normal(shape)
     y2 = 2.0 * rng.standard_normal(shape)
     u = rng.random(shape)
     policy = AdaptiveNeyman()
     cut = KERNEL_ROUNDS // 2
+    if not hasattr(engine, "_arm1_outcomes"):
+        # Engines before 0.7.0 read arm-1 outcomes, mapped by the fill.
+        y1 = 0.03 + z1
+        return (
+            lambda: engine._kernel_adaptive(policy, "aipw", 0, (y1, y2, u)),
+            lambda: engine._kernel_block(cut, 0.5, "aipw", 0, (y1, y2)),
+        )
+    arm1 = engine._arm1_outcomes(Marginal.gaussian(0.03, 1.0), np.array([0.03]))
     return (
-        lambda: engine._kernel_adaptive(policy, "aipw", 0, (y1, y2, u)),
-        lambda: engine._kernel_block(cut, 0.5, "aipw", 0, (y1, y2)),
+        lambda: engine._kernel_adaptive(
+            policy, "aipw", arm1, 0, (z1, y2, u), np.zeros((8, 1, width))
+        ),
+        lambda: engine._kernel_block(cut, 0.5, "aipw", arm1, 0, (z1, y2), np.zeros((4, 1, width))),
     )
 
 
-def measure(repeats: int) -> dict:
+def _timed(fn) -> dict:
+    c, t = time.process_time(), time.perf_counter()
+    fn()
+    return {"wall_s": time.perf_counter() - t, "cpu_s": time.process_time() - c}
+
+
+def measure() -> dict:
+    """One measurement of every figure, on the neyman_bai found on sys.path."""
     import neyman_bai
     from neyman_bai import engine
     from neyman_bai.distributions import Instance, Marginal
@@ -116,59 +145,82 @@ def measure(repeats: int) -> dict:
         for T, R in FILL_SHAPES:
             policy = AdaptiveNeyman() if T > 100 else Uniform()
             cfg = engine.TrialConfig(inst, T, policy, "aipw", 7)
-            s = _best(lambda: _fill_all(engine, cfg, R), repeats)
+            s = _seconds(lambda: _fill_all(engine, cfg, R))
             fill[f"{name} T={T} R={R} {type(policy).__name__}"] = s / (R * T) * 1e9
 
     kernels = {"adaptive": {}, "block": {}}
     for width in WIDTHS:
         for kind, call in zip(kernels, _kernels(engine, width)):
-            kernels[kind][str(width)] = _best(call, repeats) / (KERNEL_ROUNDS * width) * 1e9
+            kernels[kind][str(width)] = _seconds(call) / (KERNEL_ROUNDS * width) * 1e9
 
-    inst = families["gaussian"]
-    cfg = engine.TrialConfig(inst, REPLICATE["T"], AdaptiveNeyman(), "aipw", 7)
-    walls = {threads: [] for threads in THREADS}
-    cpus = {threads: [] for threads in THREADS}
-    for _ in range(repeats):  # thread counts interleaved, so drift hits each alike
-        for threads in THREADS:
-            c, t = time.process_time(), time.perf_counter()
-            engine.replicate(cfg, REPLICATE["R"], threads)
-            walls[threads].append(time.perf_counter() - t)
-            cpus[threads].append(time.process_time() - c)
+    cfg = engine.TrialConfig(families["gaussian"], REPLICATE["T"], AdaptiveNeyman(), "aipw", 7)
     scaling = {
-        str(threads): {
-            "wall_s": statistics.median(walls[threads]),
-            "cpu_s": statistics.median(cpus[threads]),
-            "wall_s_runs": walls[threads],
-        }
+        str(threads): _timed(lambda: engine.replicate(cfg, REPLICATE["R"], threads))
         for threads in THREADS
     }
+
+    sweep = _timed(lambda: engine.sweep_worst_case(
+        SWEEP["sigmas"], SWEEP["T"], AdaptiveNeyman(), "aipw", SWEEP["R"], 7,
+        grid=SWEEP["grid"], threads=SWEEP["threads"],
+    ))
+    sweep["cells_per_s"] = len(SWEEP["grid"]) * SWEEP["R"] * SWEEP["T"] / sweep["wall_s"]
 
     src = Path(neyman_bai.__file__).resolve().parent
     lines = sum(len(p.read_text(encoding="utf-8").splitlines()) for p in src.rglob("*.py"))
     return {
-        "time": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "repeats": repeats,
         "fill_ns_per_cell": fill,
-        "kernel_ns_per_cell": {
-            "rounds": KERNEL_ROUNDS,
-            "estimator": "aipw",
-            **kernels,
-        },
-        "replicate_adaptive_aipw": {**REPLICATE, "threads": scaling},
+        "kernel_ns_per_cell": kernels,
+        "replicate_adaptive_aipw_threads": scaling,
+        "sweep_adaptive_2t": sweep,
         "src_lines": lines,
         "all_size": len(neyman_bai.__all__),
     }
 
 
+def _median(values: list):
+    """Leaf-wise median of equally shaped nested dicts of numbers."""
+    if isinstance(values[0], dict):
+        return {k: _median([v[k] for v in values]) for k in values[0]}
+    return statistics.median(values)
+
+
+def _run_worker(src: Path) -> dict:
+    proc = subprocess.run(
+        [sys.executable, __file__, "--worker", str(src)],
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
 def main(argv=None) -> None:
     args = _args(argv)
-    sys.path.insert(0, str(args.src.resolve()))
-    result = measure(args.repeats)
+    if args.worker is not None:
+        sys.path.insert(0, str(args.worker.resolve()))
+        print(json.dumps(measure()))
+        return
+    sides = [side.split("=", 1) for side in args.side]
+    runs = {label: [] for label, _ in sides}
+    for k in range(args.repeats):
+        for label, src in sides if k % 2 == 0 else sides[::-1]:
+            runs[label].append(_run_worker(Path(src)))
+            print(f"repeat {k + 1}/{args.repeats}: {label} done", file=sys.stderr)
     doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     doc["host"] = _host()
-    doc.setdefault("runs", {})[args.label] = result
+    doc["setup"] = {
+        "kernel_rounds": KERNEL_ROUNDS, "kernel_estimator": "aipw",
+        "replicate": REPLICATE, "sweep": SWEEP,
+        "order": "sides alternate which runs first from repeat to repeat",
+    }
+    doc.setdefault("runs", {})
+    for label, measured in runs.items():
+        doc["runs"][label] = {
+            "time": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            "repeats": len(measured),
+            "median": _median(measured),
+            "each": measured,
+        }
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-    print(json.dumps({args.label: result}, indent=1))
+    print(json.dumps({label: doc["runs"][label]["median"] for label in runs}, indent=1))
 
 
 if __name__ == "__main__":
