@@ -62,7 +62,7 @@ from .theory import (
     worst_case_gap,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "AdaptiveNeyman",

@@ -14,12 +14,15 @@ replications) blocks of about _CHUNK_CELLS cells per stream, so memory
 does not grow with T. A Philox stream is fixed by its key, and drawing it
 in pieces gives the same values as one draw, so the blocks hold exactly
 one whole-trial draw per stream (see _fill for how streams are opened).
-Arm 1's stream stays as standard draws in the blocks; the kernels map it
-to outcomes one round at a time, z * sd + mean (u < mean for Bernoulli),
-the same operations as Marginal.to_outcomes. A worst-case sweep's points
-differ only in arm 1's mean, so replicate(cfg, R, threads, arm1_means=...)
-runs them all on one fill: every kernel call takes a (points, replications)
-state and maps each round's arm-1 draws once per mean.
+The blocks hold standard draws only (normals, or uniforms for Bernoulli);
+the kernels map both arms to outcomes one round at a time, z * sd + mean
+(u < mean for Bernoulli), the same operations as Marginal.to_outcomes.
+Configurations that differ only in their arms' parameters therefore read
+the same tables, so replicate(cfg, R, threads, instances=...) runs them
+all on one fill: every kernel call takes a (points, replications) state
+and maps each round's draws once per point, or once for an arm that every
+point shares. A worst-case sweep's grid and a transportation check's two
+models run this way.
 
 run_trial walks its replication's tables, one block of T rounds, with a
 readable scalar loop; replicate runs the same arithmetic vectorized, one
@@ -142,20 +145,19 @@ def _fill(cfg, lo, t0, blocks, gens, rows, scratch) -> None:
     """Draw the rounds of one block for chunk rows a..b-1 (rows = (a, b)).
 
     blocks[k][t, j] receives round t0 + t of stream 4(lo + j) + k: arm-1
-    standard draws (normals, or uniforms for Bernoulli), arm-2 outcomes
-    and, for adaptive policies, selection uniforms. Arm 1 is left unmapped
-    because its outcomes depend on the mean, which differs between the
-    points of a sweep; the kernels map it per round. Under a block
-    schedule arm 1 is never observed from the cut on, so those rounds of
-    its stream are not drawn and stay unset. When the block holds whole
-    trials (gens is None), one generator is opened with spawn and re-keyed
-    for every later stream; otherwise gens[k][j] keeps stream k of row j
-    open across blocks, and the first block (t0 == 0) spawns it.
+    and arm-2 standard draws (normals, or uniforms for Bernoulli) and, for
+    adaptive policies, selection uniforms. The arms are left unmapped
+    because their outcomes depend on parameters that differ between the
+    points of one replicate call; the kernels map them per round. Under a
+    block schedule arm 1 is never observed from the cut on, so those
+    rounds of its stream are not drawn and stay unset. When the block
+    holds whole trials (gens is None), one generator is opened with spawn
+    and re-keyed for every later stream; otherwise gens[k][j] keeps stream
+    k of row j open across blocks, and the first block (t0 == 0) spawns it.
 
     Each row's standard draws take one call that releases the interpreter
     lock; every _BAND rows the scratch, still in cache, is transposed into
-    the block, and arm 2's whole block is mapped to outcomes, so parallel
-    fills seldom wait on the lock.
+    the block, so parallel fills seldom wait on the lock.
     """
     a, b = rows
     n = blocks.shape[1]
@@ -186,8 +188,6 @@ def _fill(cfg, lo, t0, blocks, gens, rows, scratch) -> None:
                 else:
                     arm.draw_standard(gen, band[j - i])
             block[:m, i:c] = band.T
-        if k == 1:  # arm 2; arm 1 stays standard draws for the kernels
-            arm.to_outcomes(block[:m, a:b])
 
 
 def _blocks(cfg: TrialConfig, lo: int, hi: int, rounds: int, threads: int = 1, pool=None):
@@ -257,12 +257,13 @@ def run_trial_records(
     """One trial, returning its per-round records alongside the result.
 
     Its tables come from replicate's fill, as one replication in one block
-    of T rounds; arm 1's drawn rounds are mapped here with to_outcomes.
+    of T rounds; both arms' drawn rounds are mapped here with to_outcomes.
     """
     _require_int("replication", replication, 62)
     ((_, tables),) = _blocks(cfg, replication, replication + 1, cfg.T)
     y1, y2, *u = tables[:, :, 0]
     cfg.instance.arm1.to_outcomes(y1[: block_cut(cfg.policy, cfg.T)])
+    cfg.instance.arm2.to_outcomes(y2)
     return simulate_rounds(
         cfg.instance, cfg.T, cfg.policy, cfg.estimator, y1, y2, u[0] if u else None
     )
@@ -273,33 +274,43 @@ def run_trial(cfg: TrialConfig, replication: int = 0) -> TrialResult:
     return run_trial_records(cfg, replication)[1]
 
 
-def _arm1_outcomes(arm: Marginal, means: np.ndarray):
-    """Map one round's arm-1 standard draws z, shape (B,), to (G, B) outcomes.
+def _arm_outcomes(arms: Sequence[Marginal]):
+    """Map one round's standard draws z of one arm, shape (B,), to outcomes.
 
-    Row g holds the outcomes under means[g]: z * sd + mean for a Gaussian
-    arm, (u < mean) as 0.0/1.0 for a Bernoulli one. These are the
-    operations of Marginal.to_outcomes, in the same order, so every value
-    matches it bit for bit.
+    arms[g] is point g's marginal of that arm, all of one family. Row g
+    holds the outcomes under arms[g]: z * sd + mean for a Gaussian arm,
+    (u < mean) as 0.0/1.0 for a Bernoulli one. These are the operations of
+    Marginal.to_outcomes, in the same order, so every value matches it bit
+    for bit. A parameter that every point shares enters as one number, so
+    an arm the same at every point maps to one (B,) row that broadcasts.
     """
-    col = means[:, None]
-    if arm.family is Family.GAUSSIAN:
-        sd = arm.sd
-        return lambda z: z * sd + col
-    return lambda z: (z < col).astype(np.float64)
+    mean = _shared([arm.mean for arm in arms])
+    if arms[0].family is Family.GAUSSIAN:
+        sd = _shared([arm.sd for arm in arms])
+        return lambda z: z * sd + mean
+    return lambda z: (z < mean).astype(np.float64)
 
 
-def _kernel_adaptive(policy: AdaptiveNeyman, estimator: str, arm1, t0: int, tables, state):
+def _shared(values: list[float]):
+    """values as a (G, 1) column, or their one value if all are equal bit for bit."""
+    col = np.array(values)[:, None]
+    bits = col.view(np.uint64)
+    return col[0, 0] if (bits == bits[0]).all() else col
+
+
+def _kernel_adaptive(policy: AdaptiveNeyman, estimator: str, arm1, arm2, t0: int, tables, state):
     """Adaptive-Neyman rounds t0.. of one round-major block, vectorized.
 
     Mirrors simulate_rounds operation for operation (same divisions, same
     accumulation order over t), so each column equals the scalar path bit
-    for bit once replicate divides. tables holds arm-1 standard draws,
-    arm-2 outcomes and selection uniforms, each (rounds, B); arm1 maps a
-    round's draws to (G, B) outcomes (see _arm1_outcomes). state carries
-    the (G, B) sums (acc1, acc2, n1, n2, mean1, mean2, m2_1, m2_2) from the
-    previous block, zeros before round 0; the updated state is returned.
+    for bit once replicate divides. tables holds arm-1 and arm-2 standard
+    draws and selection uniforms, each (rounds, B); arm1 and arm2 map a
+    round's draws of their arm to (G, B) outcomes, or to (B,) outcomes
+    shared by every point (see _arm_outcomes). state carries the (G, B) sums (acc1, acc2, n1, n2,
+    mean1, mean2, m2_1, m2_2) from the previous block, zeros before round
+    0; the updated state is returned.
     """
-    z1, y2, u = tables
+    z1, z2, u = tables
     eta = policy.eta
     w_min = policy.w_min
     aipw = estimator == "aipw"
@@ -319,7 +330,7 @@ def _kernel_adaptive(policy: AdaptiveNeyman, estimator: str, arm1, t0: int, tabl
             w2 = 1.0 - w1
         pick = u[t] < w1
         notpick = ~pick
-        y = np.where(pick, arm1(z1[t]), y2[t])
+        y = np.where(pick, arm1(z1[t]), arm2(z2[t]))
 
         if aipw:
             acc1 += np.where(pick, (y - mean1) / w1, 0.0) + mean1
@@ -343,15 +354,15 @@ def _kernel_adaptive(policy: AdaptiveNeyman, estimator: str, arm1, t0: int, tabl
     return acc1, acc2, n1, n2, mean1, mean2, m2_1, m2_2
 
 
-def _kernel_block(cut: int, w_target: float, estimator: str, arm1, t0: int, tables, state):
+def _kernel_block(cut: int, w_target: float, estimator: str, arm1, arm2, t0: int, tables, state):
     """Block-schedule rounds t0.. (oracle Neyman / uniform), vectorized.
 
     Arm 1 owns rounds 0..cut-1, arm 2 the rest; counts are deterministic.
-    Accumulation order over t matches the scalar path exactly. tables and
-    arm1 are as in _kernel_adaptive, without the uniforms; state carries
-    the (G, B) sums (acc1, acc2, mean1, mean2) across blocks.
+    Accumulation order over t matches the scalar path exactly. tables,
+    arm1 and arm2 are as in _kernel_adaptive, without the uniforms; state
+    carries the (G, B) sums (acc1, acc2, mean1, mean2) across blocks.
     """
-    z1, y2 = tables
+    z1, z2 = tables
     aipw = estimator == "aipw"
     ipw = estimator == "ipw"
     w1 = w_target
@@ -371,7 +382,7 @@ def _kernel_block(cut: int, w_target: float, estimator: str, arm1, t0: int, tabl
             else:
                 acc1 += y
         else:
-            y = y2[t - t0]
+            y = arm2(z2[t - t0])
             if aipw:
                 acc1 += mean1
                 acc2 += (y - mean2) / w2 + mean2
@@ -389,12 +400,6 @@ def _layout(R: int, T: int) -> tuple[int, int]:
     """Replications per chunk and rounds per block."""
     rows = min(R, _CHUNK_ROWS)
     return rows, min(T, max(1, _CHUNK_CELLS // rows))
-
-
-def _with_arm1_mean(cfg: TrialConfig, mean) -> TrialConfig:
-    """cfg with arm 1's mean replaced and its variance kept."""
-    inst = cfg.instance
-    return replace(cfg, instance=Instance(replace(inst.arm1, mean=float(mean)), inst.arm2))
 
 
 def _finish(cfg: TrialConfig, acc: np.ndarray, n1: np.ndarray) -> Replications:
@@ -420,8 +425,27 @@ def _finish(cfg: TrialConfig, acc: np.ndarray, n1: np.ndarray) -> Replications:
     return Replications(recommended, correct, n1, mu_hat)
 
 
+def _points(cfg: TrialConfig, instances: Sequence[Instance]) -> list[TrialConfig]:
+    """cfg with its instance replaced by each of instances, in order."""
+    if len(instances) == 0:
+        raise ValueError("instances must be non-empty")
+    arms = (cfg.instance.arm1, cfg.instance.arm2)
+    points = []
+    for g, inst in enumerate(instances):
+        if not isinstance(inst, Instance):
+            raise ValueError(f"instances[{g}] must be an Instance, got {inst!r}")
+        for k, (got, want) in enumerate(zip((inst.arm1, inst.arm2), arms), 1):
+            if got.family is not want.family:
+                raise ValueError(
+                    f"instances[{g}].arm{k} is {got.family.value}, "
+                    f"but cfg's arm {k} is {want.family.value}"
+                )
+        points.append(replace(cfg, instance=inst))
+    return points
+
+
 def replicate(
-    cfg: TrialConfig, R: int, threads: int = 1, *, arm1_means: Sequence[float] | None = None
+    cfg: TrialConfig, R: int, threads: int = 1, *, instances: Sequence[Instance] | None = None
 ) -> Replications | tuple[Replications, ...]:
     """Run replications 0..R-1 of cfg, vectorized, in replication order.
 
@@ -430,11 +454,12 @@ def replicate(
     such replication, arm 1 first), do not depend on chunks, blocks or
     `threads`. Worker threads only fill tables; the kernels run here.
 
-    With arm1_means, runs one configuration per mean, cfg with arm 1's
-    mean set to it and its variance kept, and returns a tuple of
-    Replications in that order, each equal to replicate() of its
-    configuration. The points share one fill of the tables, and each
-    kernel call runs all of them; an error names the first failing point's
+    With instances, runs one configuration per instance, replace(cfg,
+    instance=inst), and returns a tuple of Replications in that order,
+    each equal to replicate() of its configuration. Each arm of every
+    instance must be of the family of cfg's arm; means and variances may
+    differ. The points share one fill of the tables, and each kernel call
+    runs all of them; an error names the first failing point's
     replication, as separate calls in order would.
     """
     _require_int("R", R)
@@ -443,24 +468,19 @@ def replicate(
         raise ValueError(f"R must be >= 1, got {R}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    if arm1_means is None:
-        points = [cfg]
-    elif len(arm1_means) == 0:
-        raise ValueError("arm1_means must be non-empty")
-    else:
-        points = [_with_arm1_mean(cfg, m) for m in arm1_means]
-    means = np.array([p.instance.arm1.mean for p in points])
-    arm1 = _arm1_outcomes(cfg.instance.arm1, means)
+    points = [cfg] if instances is None else _points(cfg, instances)
+    arm1 = _arm_outcomes([p.instance.arm1 for p in points])
+    arm2 = _arm_outcomes([p.instance.arm2 for p in points])
     n1 = np.empty((len(points), R), dtype=np.int64)
     acc = np.empty((len(points), R, 2))
     if isinstance(cfg.policy, AdaptiveNeyman):
-        kernel = partial(_kernel_adaptive, cfg.policy, cfg.estimator, arm1)
+        kernel = partial(_kernel_adaptive, cfg.policy, cfg.estimator, arm1, arm2)
         sums = 8
         cut = None
     else:
         cut = block_cut(cfg.policy, cfg.T)
         w_target = allocation_probability(AllocationState(), cfg.policy)
-        kernel = partial(_kernel_block, cut, w_target, cfg.estimator, arm1)
+        kernel = partial(_kernel_block, cut, w_target, cfg.estimator, arm1, arm2)
         sums = 4
 
     rows, rounds = _layout(R, cfg.T)
@@ -472,9 +492,12 @@ def replicate(
                 state = kernel(t0, tables, state)
             acc[:, lo:hi, 0], acc[:, lo:hi, 1] = state[:2]
             n1[:, lo:hi] = state[2] if cut is None else cut
+            # A view of the chunk's buffer would keep it alive through the
+            # next chunk's fill, or through _finish after the last one.
+            del tables, state
 
-    reps = tuple(_finish(p, acc[g], n1[g]) for g, p in enumerate(points))
-    return reps[0] if arm1_means is None else reps
+    reps =tuple(_finish(p, acc[g], n1[g]) for g, p in enumerate(points))
+    return reps[0] if instances is None else reps
 
 
 def _report(cfg: TrialConfig, reps: Replications) -> MCReport:
@@ -539,11 +562,11 @@ def sweep_worst_case(
     Each grid multiplier x builds a Gaussian instance with means (Delta, 0)
     and the given variances, and gets a full Monte Carlo report. All points
     share the master seed, i.e. common random numbers across the grid,
-    which makes the empirical argmax comparison less noisy. Since the
-    points differ only in arm 1's mean, one replicate call runs them all:
-    the tables are drawn once, and each kernel call maps a round's arm-1
-    draws for every point. Each point's report equals run_monte_carlo on
-    its configuration.
+    which makes the empirical argmax comparison less noisy. One replicate
+    call runs them all: the tables are drawn once, and each kernel call
+    maps a round's arm-1 draws for every point and its arm-2 draws once,
+    since arm 2 is the same at every point. Each point's report equals
+    run_monte_carlo on its configuration.
     """
     s1, s2 = sigmas
     if s1 <= 0.0 or s2 <= 0.0:
@@ -562,11 +585,11 @@ def sweep_worst_case(
     cfgs = []
     for x in grid:
         try:
-            cfgs.append(_with_arm1_mean(base, x * scale))
+            inst = Instance(Marginal.gaussian(x * scale, s1 * s1), arm2)
         except ValueError as exc:
             raise ValueError(f"sweep grid point x = {x!r}: {exc}") from exc
-    means = [cfg.instance.arm1.mean for cfg in cfgs]
-    reps = replicate(base, R, threads, arm1_means=means)
+        cfgs.append(replace(base, instance=inst))
+    reps = replicate(base, R, threads, instances=[cfg.instance for cfg in cfgs])
     points = tuple(
         SweepPoint(float(x), cfg, _report(cfg, r)) for x, cfg, r in zip(grid, cfgs, reps)
     )

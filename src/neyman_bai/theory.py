@@ -116,17 +116,10 @@ class TransportReport:
 
 
 def _event_frequency(
-    instance: Instance,
-    policy: Policy,
-    T: int,
-    R: int,
-    seed: int,
-    event: Callable[[Replications], np.ndarray],
-    threads: int,
+    reps: Replications, event: Callable[[Replications], np.ndarray]
 ) -> tuple[float, float, float, float]:
-    """(event prob, its SE, mean N1, SE of mean N1) under one model."""
-    cfg = TrialConfig(instance, T, policy, "sample_mean", seed)
-    reps = replicate(cfg, R, threads)
+    """(event prob, its SE, mean N1, SE of mean N1) over one model's replications."""
+    R = len(reps.n1)
     hit = event(reps)
     if not (isinstance(hit, np.ndarray) and hit.dtype == np.bool_ and hit.shape == (R,)):
         shape = getattr(hit, "shape", None)
@@ -155,7 +148,8 @@ def check_transportation(
 
     Expected pull counts are taken under the baseline model; KLs are
     closed form per arm; event frequencies come from Monte Carlo under
-    both models with the same seed and the sample-mean estimator. `event`
+    both models with the same seed and the sample-mean estimator, in one
+    replicate call, so both models read one fill of the tables. `event`
     maps the R replications of one model to a boolean array of shape (R,)
     marking the replications in the event; anything else raises
     ValueError. The default event is {recommended arm == 1}.
@@ -165,12 +159,10 @@ def check_transportation(
     if event is None:
         event = lambda reps: reps.recommended == 1
 
-    p, p_se, n1_mean, n1_mean_se = _event_frequency(
-        baseline, policy, T, R, seed, event, threads
-    )
-    q, q_se, _, _ = _event_frequency(
-        alternative, policy, T, R, seed, event, threads
-    )
+    cfg = TrialConfig(baseline, T, policy, "sample_mean", seed)
+    base_reps, alt_reps = replicate(cfg, R, threads, instances=[baseline, alternative])
+    p, p_se, n1_mean, n1_mean_se = _event_frequency(base_reps, event)
+    q, q_se, _, _ = _event_frequency(alt_reps, event)
 
     lhs = n1_mean * kl1 + (T - n1_mean) * kl2
     lhs_se = abs(kl1 - kl2) * n1_mean_se

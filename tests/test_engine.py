@@ -222,7 +222,7 @@ class TestStreamIdentity:
     def _assert_fresh_streams(cfg, lo, tables):
         """Columns equal fresh streams; arm 1 only up to a block schedule's cut.
 
-        Arm 1 holds standard draws, which to_outcomes maps to its outcomes.
+        The arms hold standard draws, which to_outcomes maps to outcomes.
         """
         inst, seed, T = cfg.instance, cfg.seed, cfg.T
         cut = block_cut(cfg.policy, T)
@@ -231,7 +231,9 @@ class TestStreamIdentity:
             y1 = tables[0][:m, j].copy()
             inst.arm1.to_outcomes(y1)
             assert y1.tobytes() == inst.arm1.draw(spawn(seed, 4 * i), m).tobytes()
-            assert tables[1][:, j].tobytes() == inst.arm2.draw(spawn(seed, 4 * i + 1), T).tobytes()
+            y2 = tables[1][:, j].copy()
+            inst.arm2.to_outcomes(y2)
+            assert y2.tobytes() == inst.arm2.draw(spawn(seed, 4 * i + 1), T).tobytes()
             if len(tables) == 3:
                 assert tables[2][:, j].tobytes() == spawn(seed, 4 * i + 2).random(T).tobytes()
 
@@ -364,9 +366,9 @@ class TestSweep:
         R, T, grid = 13, 37, (0.25, 1.0, 3.0)
         _force_layout(monkeypatch, 5, 35)
         cfgs = _sweep_configs(policy, est, T, grid, seed=7)
-        means = [cfg.instance.arm1.mean for cfg in cfgs]
+        instances = [cfg.instance for cfg in cfgs]
         for threads in (1, 2):
-            stacked = replicate(cfgs[0], R, threads, arm1_means=means)
+            stacked = replicate(cfgs[0], R, threads, instances=instances)
             res = sweep_worst_case((1.0, 2.0), T, policy, est, R, seed=7, grid=grid,
                                    threads=threads)
             assert len(stacked) == len(res.points) == len(grid)
@@ -408,12 +410,56 @@ class TestSweep:
                                  grid=grid, threads=threads)
             assert str(err.value) == errors[1]
 
-    def test_arm1_means_are_checked(self):
+    @pytest.mark.parametrize("family", ["gaussian", "bernoulli"])
+    @pytest.mark.parametrize("est", ["aipw", "ipw", "sample_mean"])
+    @pytest.mark.parametrize(
+        "policy", [AdaptiveNeyman(eta=0.2), OracleNeyman(1.0, 2.0), Uniform()],
+        ids=["adaptive", "oracle", "uniform"],
+    )
+    def test_points_differing_in_both_arms_equal_separate_calls(
+        self, policy, est, family, monkeypatch
+    ):
+        """Gaussian points move arm 2's mean and variance as well as arm 1's
+        mean; Bernoulli points move both means. The first point repeats
+        cfg's instance, so one point shares cfg's parameters and the others
+        do not.
+        """
+        R, T = 13, 37
+        _force_layout(monkeypatch, 5, 35)
+        if family == "gaussian":
+            instances = [
+                GAUSS,
+                Instance(Marginal.gaussian(-0.4, 1.0), Marginal.gaussian(0.2, 0.25)),
+                Instance(Marginal.gaussian(0.3, 1.0), Marginal.gaussian(-1.5, 9.0)),
+            ]
+        else:
+            instances = [
+                BERN,
+                Instance(Marginal.bernoulli(0.3), Marginal.bernoulli(0.7)),
+                Instance(Marginal.bernoulli(0.9), Marginal.bernoulli(0.5)),
+            ]
+        cfg = TrialConfig(instances[0], T, policy, est, seed=11)
+        for threads in (1, 2):
+            stacked = replicate(cfg, R, threads, instances=instances)
+            assert len(stacked) == len(instances)
+            for g, inst in enumerate(instances):
+                want = replicate(replace(cfg, instance=inst), R, threads)
+                for field in ("recommended", "correct", "n1", "mu_hat"):
+                    got = getattr(stacked[g], field)
+                    assert got.dtype == getattr(want, field).dtype, (g, threads, field)
+                    assert np.array_equal(got, getattr(want, field)), (g, threads, field)
+
+    def test_instances_are_checked(self):
         cfg = TrialConfig(GAUSS, 20, Uniform(), "aipw", seed=1)
-        with pytest.raises(ValueError, match="non-empty"):
-            replicate(cfg, 5, arm1_means=[])
-        with pytest.raises(ValueError, match="mean must lie within"):
-            replicate(cfg, 5, arm1_means=[0.0, 1e101])
+        with pytest.raises(ValueError, match="instances must be non-empty"):
+            replicate(cfg, 5, instances=[])
+        mixed = Instance(Marginal.gaussian(0.0, 1.0), Marginal.bernoulli(0.5))
+        with pytest.raises(ValueError, match=r"instances\[1\]\.arm2 is bernoulli"):
+            replicate(cfg, 5, instances=[GAUSS, mixed])
+        with pytest.raises(ValueError, match=r"instances\[0\]\.arm1 is gaussian"):
+            replicate(replace(cfg, instance=BERN), 5, instances=[GAUSS])
+        with pytest.raises(ValueError, match=r"instances\[0\] must be an Instance"):
+            replicate(cfg, 5, instances=[(0.3, 0.0)])
 
     def test_grid_layout_and_gaps(self):
         res = sweep_worst_case((1.0, 2.0), 100, Uniform(), "aipw", R=50, seed=9)

@@ -100,7 +100,8 @@ class TestPredictability:
         from neyman_bai.engine import _blocks
 
         ((_, (y1, y2, u)),) = _blocks(cfg, 0, 1, cfg.T)
-        inst.arm1.to_outcomes(y1)  # the block holds arm 1's standard draws
+        inst.arm1.to_outcomes(y1)  # the block holds the arms' standard draws
+        inst.arm2.to_outcomes(y2)
         for t_hit in (4, 11, 22):
             y1_mod = y1[:, 0].copy()
             y2_mod = y2[:, 0].copy()

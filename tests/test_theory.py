@@ -8,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from neyman_bai.distributions import Instance, Marginal, kl_divergence, lower_bound_alternative
-from neyman_bai.engine import sweep_worst_case
-from neyman_bai.policies import OracleNeyman, Uniform
+from neyman_bai.engine import TrialConfig, replicate, sweep_worst_case
+from neyman_bai.policies import AdaptiveNeyman, OracleNeyman, Uniform
 from neyman_bai.theory import (
     binary_relative_entropy,
     check_transportation,
@@ -212,6 +212,24 @@ class TestTransportation:
         assert rep.satisfied
         assert rep.lhs + 3.0 * rep.se >= rep.rhs
         assert rep.mean_n1 == 25.0
+
+    @pytest.mark.parametrize(
+        "policy", [AdaptiveNeyman(eta=0.2), Uniform()], ids=["adaptive", "uniform"]
+    )
+    def test_frequencies_equal_separate_replicate_calls(self, policy):
+        """The models differ in both arms, the alternative in arm 2's variance too."""
+        base = Instance(Marginal.gaussian(0.2, 1.0), Marginal.gaussian(0.0, 1.0))
+        alt = Instance(Marginal.gaussian(-0.1, 1.0), Marginal.gaussian(0.3, 2.25))
+        T, R, seed = 30, 300, 5
+        rep = check_transportation(base, alt, policy, T=T, R=R, seed=seed, threads=2)
+        runs = [
+            replicate(TrialConfig(inst, T, policy, "sample_mean", seed), R)
+            for inst in (base, alt)
+        ]
+        assert rep.p_baseline == np.count_nonzero(runs[0].recommended == 1) / R
+        assert rep.p_alternative == np.count_nonzero(runs[1].recommended == 1) / R
+        assert rep.mean_n1 == float(runs[0].n1.mean())
+        assert 0.0 < rep.p_alternative < rep.p_baseline < 1.0
 
     def test_cross_family_models_rejected(self):
         base = Instance(Marginal.gaussian(0.2, 1.0), Marginal.gaussian(0.0, 1.0))

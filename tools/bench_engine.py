@@ -21,13 +21,19 @@ sides alike. One measurement covers:
 - the benchmark's sweep (`sweep_adaptive_2t`): sigmas (1, 2), adaptive
   Neyman + AIPW, grid 0.5/1/1.5, R = 1600, T = 10^4, threads 2, as wall
   and CPU time and cells per second;
+- the benchmark's transportation check (`transport_short`): verify check
+  7's pair, uniform allocation, T = 50, R = 20,000, threads 1, as wall and
+  CPU time and cells per second over both models;
+- verify check 7 (`check_transportation_inequality`, R = 100,000) at
+  threads 1, as wall and CPU time, with its PASS flag and detail line;
 - the line count of src/ and the size of neyman_bai.__all__.
 
 Under `runs`, each label holds the median of every figure over the
 repeats and the measurements of each repeat, next to the host (nproc,
 CPU model, Python and numpy versions). Labels already in the file and not
-measured again are kept. The engine must draw its tables in round blocks
-(engine._blocks, from version 0.5.0 on).
+measured again are kept. The engine must be at version 0.7.0 or later
+(kernels that map arm 1 per round); the branch for 0.7.0's kernels, which
+read arm-2 outcomes from the tables, can go once both sides are at 0.8.0.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ FILL_SHAPES = ((2000, 1600), (50, 20000))  # (T, R)
 REPLICATE = {"R": 3200, "T": 10_000}
 THREADS = (1, 2, 4)
 SWEEP = {"sigmas": (1.0, 2.0), "T": 10_000, "grid": (0.5, 1.0, 1.5), "R": 1600, "threads": 2}
+TRANSPORT = {"T": 50, "R": 20_000, "threads": 1}
 
 
 def _args(argv):
@@ -103,23 +110,23 @@ def _kernels(engine, width: int):
     rng = np.random.default_rng(width)
     shape = (KERNEL_ROUNDS, width)
     z1 = rng.standard_normal(shape)
-    y2 = 2.0 * rng.standard_normal(shape)
+    z2 = rng.standard_normal(shape)
     u = rng.random(shape)
     policy = AdaptiveNeyman()
     cut = KERNEL_ROUNDS // 2
-    if not hasattr(engine, "_arm1_outcomes"):
-        # Engines before 0.7.0 read arm-1 outcomes, mapped by the fill.
-        y1 = 0.03 + z1
-        return (
-            lambda: engine._kernel_adaptive(policy, "aipw", 0, (y1, y2, u)),
-            lambda: engine._kernel_block(cut, 0.5, "aipw", 0, (y1, y2)),
-        )
-    arm1 = engine._arm1_outcomes(Marginal.gaussian(0.03, 1.0), np.array([0.03]))
+    arm1, arm2 = Marginal.gaussian(0.03, 1.0), Marginal.gaussian(0.0, 4.0)
+    if hasattr(engine, "_arm1_outcomes"):
+        # 0.7.0 kernels read arm-2 outcomes, mapped by the fill.
+        maps = (engine._arm1_outcomes(arm1, np.array([arm1.mean])),)
+        y2 = arm2.sd * z2
+    else:
+        maps = (engine._arm_outcomes([arm1]), engine._arm_outcomes([arm2]))
+        y2 = z2
     return (
         lambda: engine._kernel_adaptive(
-            policy, "aipw", arm1, 0, (z1, y2, u), np.zeros((8, 1, width))
+            policy, "aipw", *maps, 0, (z1, y2, u), np.zeros((8, 1, width))
         ),
-        lambda: engine._kernel_block(cut, 0.5, "aipw", arm1, 0, (z1, y2), np.zeros((4, 1, width))),
+        lambda: engine._kernel_block(cut, 0.5, "aipw", *maps, 0, (z1, y2), np.zeros((4, 1, width))),
     )
 
 
@@ -132,8 +139,8 @@ def _timed(fn) -> dict:
 def measure() -> dict:
     """One measurement of every figure, on the neyman_bai found on sys.path."""
     import neyman_bai
-    from neyman_bai import engine
-    from neyman_bai.distributions import Instance, Marginal
+    from neyman_bai import engine, theory, verification
+    from neyman_bai.distributions import Instance, Marginal, lower_bound_alternative
     from neyman_bai.policies import AdaptiveNeyman, Uniform
 
     families = {
@@ -165,6 +172,21 @@ def measure() -> dict:
     ))
     sweep["cells_per_s"] = len(SWEEP["grid"]) * SWEEP["R"] * SWEEP["T"] / sweep["wall_s"]
 
+    T = TRANSPORT["T"]
+    transport = _timed(lambda: theory.check_transportation(
+        Instance(Marginal.gaussian(0.01, 1.0), Marginal.gaussian(0.0, 1.0)),
+        lower_bound_alternative(1.0, 1.0, T), Uniform(), T, R=TRANSPORT["R"], seed=7,
+        threads=TRANSPORT["threads"],
+    ))
+    transport["cells_per_s"] = 2 * TRANSPORT["R"] * T / transport["wall_s"]
+
+    c, t = time.process_time(), time.perf_counter()
+    result = verification.check_transportation_inequality(42, threads=1)
+    check7 = {
+        "wall_s": time.perf_counter() - t, "cpu_s": time.process_time() - c,
+        "passed": int(result.passed), "detail": result.detail,
+    }
+
     src = Path(neyman_bai.__file__).resolve().parent
     lines = sum(len(p.read_text(encoding="utf-8").splitlines()) for p in src.rglob("*.py"))
     return {
@@ -172,15 +194,22 @@ def measure() -> dict:
         "kernel_ns_per_cell": kernels,
         "replicate_adaptive_aipw_threads": scaling,
         "sweep_adaptive_2t": sweep,
+        "transport_short": transport,
+        "verify_check7_threads1": check7,
         "src_lines": lines,
         "all_size": len(neyman_bai.__all__),
     }
 
 
 def _median(values: list):
-    """Leaf-wise median of equally shaped nested dicts of numbers."""
+    """Leaf-wise median of equally shaped nested dicts of numbers.
+
+    A text leaf is kept when every repeat gives the same text, else listed.
+    """
     if isinstance(values[0], dict):
         return {k: _median([v[k] for v in values]) for k in values[0]}
+    if isinstance(values[0], str):
+        return values[0] if len(set(values)) == 1 else values
     return statistics.median(values)
 
 
@@ -208,7 +237,7 @@ def main(argv=None) -> None:
     doc["host"] = _host()
     doc["setup"] = {
         "kernel_rounds": KERNEL_ROUNDS, "kernel_estimator": "aipw",
-        "replicate": REPLICATE, "sweep": SWEEP,
+        "replicate": REPLICATE, "sweep": SWEEP, "transport": TRANSPORT,
         "order": "sides alternate which runs first from repeat to repeat",
     }
     doc.setdefault("runs", {})
