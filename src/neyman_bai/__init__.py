@@ -33,7 +33,6 @@ from .estimators import (
     RoundRecord,
     aipw_estimate,
     ipw_estimate,
-    martingale_residuals,
     recommend,
     sample_mean_estimate,
 )
@@ -62,7 +61,7 @@ from .theory import (
     worst_case_gap,
 )
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 __all__ = [
     "AdaptiveNeyman",
@@ -93,7 +92,6 @@ __all__ = [
     "ipw_estimate",
     "kl_divergence",
     "lower_bound_alternative",
-    "martingale_residuals",
     "minimax_lower_bound_constant",
     "misid_exponent",
     "misid_upper_bound",

@@ -15,6 +15,7 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -87,24 +88,27 @@ class Marginal:
 
         `size` is required. Batch draws consume the stream exactly like
         repeated scalar draws, so prefixes of a batch match shorter batches
-        from the same stream. Equal to draw_standard then to_outcomes. The
+        from the same stream. Equal to standard_fill then to_outcomes. The
         engine calls those two directly; this is kept for callers outside it.
         """
         out = np.empty(size)
-        self.draw_standard(gen, out)
+        self.standard_fill(gen, out=out)
         self.to_outcomes(out)
         return out
 
-    def draw_standard(self, gen: np.random.Generator, out: np.ndarray) -> None:
-        """Fill contiguous `out` with the standard draws behind the outcomes.
+    @property
+    def standard_fill(self) -> Callable[..., np.ndarray]:
+        """Generator method drawing the standard draws behind the outcomes.
 
-        Standard normals for Gaussian arms, uniforms on [0, 1) for Bernoulli
-        arms; to_outcomes maps them to outcomes.
+        Called as standard_fill(gen, out=values), it fills contiguous
+        `values` with standard normals for Gaussian arms, uniforms on
+        [0, 1) for Bernoulli arms; to_outcomes maps them to outcomes. The
+        method is numpy's own, so a caller filling many short rows pays
+        for no Python frame per row.
         """
         if self.family is Family.GAUSSIAN:
-            gen.standard_normal(out=out)
-        else:
-            gen.random(out=out)
+            return np.random.Generator.standard_normal
+        return np.random.Generator.random
 
     def to_outcomes(self, values: np.ndarray) -> None:
         """Map standard draws to outcomes in place: mean + sd*z, or u < mean."""

@@ -13,7 +13,9 @@ of at most _CHUNK_ROWS and draws their rounds into round-major (rounds,
 replications) blocks of about _CHUNK_CELLS cells per stream, so memory
 does not grow with T. A Philox stream is fixed by its key, and drawing it
 in pieces gives the same values as one draw, so the blocks hold exactly
-one whole-trial draw per stream (see _fill for how streams are opened).
+one whole-trial draw per stream. A block of whole trials re-keys one
+generator from row to row (rng.restarter); a trial longer than a block
+keeps a generator per stream open from block to block (see _fill).
 The blocks hold standard draws only (normals, or uniforms for Bernoulli);
 the kernels map both arms to outcomes one round at a time, z * sd + mean
 (u < mean for Bernoulli), the same operations as Marginal.to_outcomes.
@@ -58,7 +60,7 @@ from .policies import (
     block_cut,
     update,
 )
-from .rng import restart, spawn
+from .rng import restarter, spawn
 
 _STREAMS_PER_REP = 4
 
@@ -150,10 +152,13 @@ def _fill(cfg, lo, t0, blocks, gens, rows, scratch) -> None:
     because their outcomes depend on parameters that differ between the
     points of one replicate call; the kernels map them per round. Under a
     block schedule arm 1 is never observed from the cut on, so those
-    rounds of its stream are not drawn and stay unset. When the block
-    holds whole trials (gens is None), one generator is opened with spawn
-    and re-keyed for every later stream; otherwise gens[k][j] keeps stream
-    k of row j open across blocks, and the first block (t0 == 0) spawns it.
+    rounds of its stream are not drawn and stay unset.
+
+    When the block holds whole trials (gens is None), the call opens one
+    generator with spawn and re-keys it to each row's stream in turn (see
+    rng.restarter); the call's generator and re-keyer are its own, so
+    worker threads share neither. Otherwise gens[k][j] keeps stream k of
+    row j open across blocks, and the first block (t0 == 0) spawns it.
 
     Each row's standard draws take one call that releases the interpreter
     lock; every _BAND rows the scratch, still in cache, is transposed into
@@ -163,30 +168,31 @@ def _fill(cfg, lo, t0, blocks, gens, rows, scratch) -> None:
     n = blocks.shape[1]
     seed = cfg.seed
     cut = block_cut(cfg.policy, cfg.T)
-    arms = (cfg.instance.arm1, cfg.instance.arm2, None)  # None: selection uniforms
-    gen = None
+    inst = cfg.instance
+    # Per stream k: arm-1 and arm-2 standard draws, then selection uniforms.
+    fills = (inst.arm1.standard_fill, inst.arm2.standard_fill, np.random.Generator.random)
+    if gens is None:
+        gen = spawn(seed, _STREAMS_PER_REP * (lo + a))
+        rekey = restarter(gen, seed)
     for k, block in enumerate(blocks):
-        arm = arms[k]
+        fill = fills[k]
         m = n if k or cut is None else min(n, max(0, cut - t0))
         if m == 0:
             continue
         for i in range(a, b, _BAND):
             c = min(b, i + _BAND)
             band = scratch[: c - i, :m]
-            for j in range(i, c):
-                stream = _STREAMS_PER_REP * (lo + j) + k
-                if gens is not None:
+            if gens is None:
+                stream = _STREAMS_PER_REP * (lo + i) + k
+                for row in band:
+                    rekey(stream)
+                    fill(gen, out=row)
+                    stream += _STREAMS_PER_REP
+            else:
+                for j in range(i, c):
                     if t0 == 0:
-                        gens[k][j] = spawn(seed, stream)
-                    gen = gens[k][j]
-                elif gen is None:
-                    gen = spawn(seed, stream)
-                else:
-                    restart(gen, seed, stream)
-                if arm is None:
-                    gen.random(out=band[j - i])
-                else:
-                    arm.draw_standard(gen, band[j - i])
+                        gens[k][j] = spawn(seed, _STREAMS_PER_REP * (lo + j) + k)
+                    fill(gens[k][j], out=band[j - i])
             block[:m, i:c] = band.T
 
 
@@ -496,7 +502,7 @@ def replicate(
             # next chunk's fill, or through _finish after the last one.
             del tables, state
 
-    reps =tuple(_finish(p, acc[g], n1[g]) for g, p in enumerate(points))
+    reps = tuple(_finish(p, acc[g], n1[g]) for g, p in enumerate(points))
     return reps[0] if instances is None else reps
 
 

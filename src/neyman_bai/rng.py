@@ -5,9 +5,15 @@ draw inside a stream by its index, so any value can be regenerated from
 (seed, stream, index) alone, on any platform and in any order. Monte Carlo
 replications derive disjoint streams from (master seed, replication index)
 with no shared mutable state.
+
+spawn opens a stream with a new generator. A caller that reads many short
+streams under one seed re-keys one generator instead (restarter): that
+costs a fraction of a new generator and draws exactly the same values.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -33,19 +39,29 @@ def spawn(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(_philox(seed, stream))
 
 
-def restart(gen: np.random.Generator, seed: int, stream: int) -> None:
-    """Move a generator from spawn to the start of another stream, in place.
+def restarter(gen: np.random.Generator, seed: int) -> Callable[[int], None]:
+    """Re-keyer of gen under seed: rekey(stream) moves gen to that stream's start.
 
-    Afterwards gen draws exactly what spawn(seed, stream) would: a Philox
-    stream is fixed by its key alone, so re-keying with a zero counter and
-    an empty output buffer replaces building a fresh generator, which
-    costs several times more.
+    After rekey(stream), gen draws exactly what spawn(seed, stream) would: a
+    Philox stream is fixed by its key alone, so setting the key with a zero
+    counter and an empty output buffer replaces building a fresh generator,
+    which costs several times more. The state is built once here and each
+    call changes only its stream word. A re-keyer owns its state, so give
+    each thread its own generator and re-keyer.
     """
-    gen.bit_generator.state = {
+    key = _key(seed, 0)
+    state = {
         "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": _key(seed, stream)},
+        "state": {"counter": [0, 0, 0, 0], "key": key},
         "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
+    bit_generator = gen.bit_generator
+
+    def rekey(stream: int) -> None:
+        key[1] = stream & _MASK64
+        bit_generator.state = state
+
+    return rekey

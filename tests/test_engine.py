@@ -219,15 +219,16 @@ class TestStreamIdentity:
     """
 
     @staticmethod
-    def _assert_fresh_streams(cfg, lo, tables):
-        """Columns equal fresh streams; arm 1 only up to a block schedule's cut.
+    def _assert_fresh_streams(cfg, lo, tables, columns=None):
+        """Columns (default: all) equal fresh streams; arm 1 only up to a block schedule's cut.
 
         The arms hold standard draws, which to_outcomes maps to outcomes.
         """
         inst, seed, T = cfg.instance, cfg.seed, cfg.T
         cut = block_cut(cfg.policy, T)
         m = T if cut is None else cut
-        for j, i in enumerate(range(lo, lo + tables.shape[2])):
+        for j in range(tables.shape[2]) if columns is None else columns:
+            i = lo + j
             y1 = tables[0][:m, j].copy()
             inst.arm1.to_outcomes(y1)
             assert y1.tobytes() == inst.arm1.draw(spawn(seed, 4 * i), m).tobytes()
@@ -245,6 +246,22 @@ class TestStreamIdentity:
         assert t0 == 0
         assert len(tables) == (3 if isinstance(policy, AdaptiveNeyman) else 2)
         self._assert_fresh_streams(cfg, 5, tables)
+
+    @pytest.mark.parametrize("inst", [GAUSS, BERN], ids=["gaussian", "bernoulli"])
+    @pytest.mark.parametrize("policy", [AdaptiveNeyman(), Uniform()], ids=["adaptive", "block"])
+    def test_band_edges_and_worker_starts_equal_fresh_spawn_streams(self, inst, policy):
+        """Whole-trial rows re-keyed one after another, checked where a step could slip.
+
+        Two workers fill rows 0..149 and 150..299 of a 300-row chunk that
+        starts at replication 2^61, each in bands of _BAND = 128 rows.
+        """
+        assert eng._BAND == 128
+        cfg = TrialConfig(inst, 12, policy, "aipw", seed=77)
+        lo = 2**61
+        with ThreadPoolExecutor(2) as pool:
+            ((_, tables),) = eng._blocks(cfg, lo, lo + 300, cfg.T, 2, pool)
+            edges = [0, 127, 128, 149, 150, 277, 278, 299]
+            self._assert_fresh_streams(cfg, lo, tables, edges)
 
     @pytest.mark.parametrize("inst", [GAUSS, BERN], ids=["gaussian", "bernoulli"])
     @pytest.mark.parametrize("policy", [AdaptiveNeyman(), Uniform()], ids=["adaptive", "block"])

@@ -7,8 +7,10 @@ sits on top of these.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from neyman_bai.rng import restart, spawn
+from neyman_bai.rng import restarter, spawn
 
 PINNED_UNIFORMS_42_0 = [0.8201981478608876, 0.18924562408645496, 0.8676608148821462]
 PINNED_NORMALS_42_0 = [0.3375714466967798, -0.7821534784435413, -0.3160252007782352]
@@ -59,26 +61,53 @@ def test_large_seed_and_stream_are_masked_consistently():
     np.testing.assert_array_equal(spawn(0, big).random(4), spawn(0, 5).random(4))
 
 
-@pytest.mark.parametrize(
-    "draw",
-    [
-        lambda g: g.standard_normal(9),
-        lambda g: g.random(9),
-        lambda g: g.integers(0, 2**32, size=9, dtype=np.uint32),
-    ],
-    ids=["normals", "uniforms", "uint32"],
-)
-def test_restart_matches_fresh_spawn(draw):
+# The engine's normals and uniforms, and uint32 draws, which can leave half
+# a 64-bit word cached.
+DRAWS = {
+    "normals": lambda g, n: g.standard_normal(n),
+    "uniforms": lambda g, n: g.random(n),
+    "uint32": lambda g, n: g.integers(0, 2**32, size=n, dtype=np.uint32),
+}
+
+
+@pytest.mark.parametrize("draw", DRAWS.values(), ids=DRAWS.keys())
+def test_rekey_matches_fresh_spawn(draw):
     gen = spawn(1, 0)
     gen.standard_normal(5)
     # An odd number of 32-bit draws leaves half a 64-bit word cached.
     gen.integers(0, 2**32, size=3, dtype=np.uint32)
     assert gen.bit_generator.state["has_uint32"] == 1
-    restart(gen, 42, 9)
-    np.testing.assert_array_equal(draw(gen), draw(spawn(42, 9)))
+    restarter(gen, 42)(9)
+    np.testing.assert_array_equal(draw(gen, 9), draw(spawn(42, 9), 9))
 
 
-def test_restart_masks_like_spawn():
+def test_rekey_masks_like_spawn():
     gen = spawn(1, 0)
-    restart(gen, 2**64 + 5, 2**64 + 3)
+    restarter(gen, 2**64 + 5)(2**64 + 3)
     np.testing.assert_array_equal(gen.random(4), spawn(5, 3).random(4))
+
+
+WORDS = st.integers(0, 2**64 - 1)
+# One earlier step: a draw of some kind and length, or a re-key to a stream.
+STEPS = st.one_of(
+    st.tuples(st.sampled_from(sorted(DRAWS)), st.integers(0, 9)),
+    st.tuples(st.just("rekey"), WORDS),
+)
+
+
+@settings(max_examples=200)
+@given(
+    start=st.tuples(WORDS, WORDS), seed=WORDS, stream=WORDS, earlier=st.lists(STEPS, max_size=5)
+)
+def test_rekeyed_generator_draws_what_spawn_draws(start, seed, stream, earlier):
+    gen = spawn(*start)
+    rekey = restarter(gen, seed)
+    for kind, arg in earlier:
+        if kind == "rekey":
+            rekey(arg)
+        else:
+            DRAWS[kind](gen, arg)
+    rekey(stream)
+    fresh = spawn(seed, stream)
+    for kind in ("uint32", "normals", "uniforms", "uint32"):
+        np.testing.assert_array_equal(DRAWS[kind](gen, 3), DRAWS[kind](fresh, 3))

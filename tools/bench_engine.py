@@ -31,9 +31,8 @@ sides alike. One measurement covers:
 Under `runs`, each label holds the median of every figure over the
 repeats and the measurements of each repeat, next to the host (nproc,
 CPU model, Python and numpy versions). Labels already in the file and not
-measured again are kept. The engine must be at version 0.7.0 or later
-(kernels that map arm 1 per round); the branch for 0.7.0's kernels, which
-read arm-2 outcomes from the tables, can go once both sides are at 0.8.0.
+measured again are kept. The engine must be at version 0.8.0 or later
+(kernels that map both arms per round).
 """
 
 from __future__ import annotations
@@ -115,18 +114,14 @@ def _kernels(engine, width: int):
     policy = AdaptiveNeyman()
     cut = KERNEL_ROUNDS // 2
     arm1, arm2 = Marginal.gaussian(0.03, 1.0), Marginal.gaussian(0.0, 4.0)
-    if hasattr(engine, "_arm1_outcomes"):
-        # 0.7.0 kernels read arm-2 outcomes, mapped by the fill.
-        maps = (engine._arm1_outcomes(arm1, np.array([arm1.mean])),)
-        y2 = arm2.sd * z2
-    else:
-        maps = (engine._arm_outcomes([arm1]), engine._arm_outcomes([arm2]))
-        y2 = z2
+    maps = (engine._arm_outcomes([arm1]), engine._arm_outcomes([arm2]))
     return (
         lambda: engine._kernel_adaptive(
-            policy, "aipw", *maps, 0, (z1, y2, u), np.zeros((8, 1, width))
+            policy, "aipw", *maps, 0, (z1, z2, u), np.zeros((8, 1, width))
         ),
-        lambda: engine._kernel_block(cut, 0.5, "aipw", *maps, 0, (z1, y2), np.zeros((4, 1, width))),
+        lambda: engine._kernel_block(
+            cut, 0.5, "aipw", *maps, 0, (z1, z2), np.zeros((4, 1, width))
+        ),
     )
 
 
