@@ -92,23 +92,20 @@ class Marginal:
         engine calls those two directly; this is kept for callers outside it.
         """
         out = np.empty(size)
-        self.standard_fill(gen, out=out)
+        self.standard_fill(gen)(out=out)
         self.to_outcomes(out)
         return out
 
-    @property
-    def standard_fill(self) -> Callable[..., np.ndarray]:
-        """Generator method drawing the standard draws behind the outcomes.
+    def standard_fill(self, gen: np.random.Generator) -> Callable[..., np.ndarray]:
+        """gen's method that draws the standard draws behind the outcomes.
 
-        Called as standard_fill(gen, out=values), it fills contiguous
-        `values` with standard normals for Gaussian arms, uniforms on
-        [0, 1) for Bernoulli arms; to_outcomes maps them to outcomes. The
-        method is numpy's own, so a caller filling many short rows pays
-        for no Python frame per row.
+        Called as fill(out=values), it fills contiguous `values` with
+        standard normals for Gaussian arms, uniforms on [0, 1) for
+        Bernoulli arms; to_outcomes maps them to outcomes. The method is
+        numpy's own, so a caller filling many short rows from one generator
+        binds it once and pays for no Python frame per row.
         """
-        if self.family is Family.GAUSSIAN:
-            return np.random.Generator.standard_normal
-        return np.random.Generator.random
+        return gen.standard_normal if self.family is Family.GAUSSIAN else gen.random
 
     def to_outcomes(self, values: np.ndarray) -> None:
         """Map standard draws to outcomes in place: mean + sd*z, or u < mean."""

@@ -143,6 +143,11 @@ class Replications:
     mu_hat: np.ndarray
 
 
+def _row_fill(arm: Marginal | None, gen: np.random.Generator):
+    """gen's method filling out= with arm's standard draws, or selection uniforms for None."""
+    return gen.random if arm is None else arm.standard_fill(gen)
+
+
 def _fill(cfg, lo, t0, blocks, gens, rows, scratch) -> None:
     """Draw the rounds of one block for chunk rows a..b-1 (rows = (a, b)).
 
@@ -168,17 +173,17 @@ def _fill(cfg, lo, t0, blocks, gens, rows, scratch) -> None:
     n = blocks.shape[1]
     seed = cfg.seed
     cut = block_cut(cfg.policy, cfg.T)
-    inst = cfg.instance
-    # Per stream k: arm-1 and arm-2 standard draws, then selection uniforms.
-    fills = (inst.arm1.standard_fill, inst.arm2.standard_fill, np.random.Generator.random)
+    arms = (cfg.instance.arm1, cfg.instance.arm2, None)  # None: selection uniforms
     if gens is None:
         gen = spawn(seed, _STREAMS_PER_REP * (lo + a))
         rekey = restarter(gen, seed)
     for k, block in enumerate(blocks):
-        fill = fills[k]
+        arm = arms[k]
         m = n if k or cut is None else min(n, max(0, cut - t0))
         if m == 0:
             continue
+        if gens is None:
+            fill = _row_fill(arm, gen)
         for i in range(a, b, _BAND):
             c = min(b, i + _BAND)
             band = scratch[: c - i, :m]
@@ -186,13 +191,13 @@ def _fill(cfg, lo, t0, blocks, gens, rows, scratch) -> None:
                 stream = _STREAMS_PER_REP * (lo + i) + k
                 for row in band:
                     rekey(stream)
-                    fill(gen, out=row)
+                    fill(out=row)
                     stream += _STREAMS_PER_REP
             else:
                 for j in range(i, c):
                     if t0 == 0:
                         gens[k][j] = spawn(seed, _STREAMS_PER_REP * (lo + j) + k)
-                    fill(gens[k][j], out=band[j - i])
+                    _row_fill(arm, gens[k][j])(out=band[j - i])
             block[:m, i:c] = band.T
 
 
