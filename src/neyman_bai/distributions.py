@@ -97,7 +97,7 @@ class Marginal:
         return out
 
     def standard_fill(self, gen: np.random.Generator) -> Callable[..., np.ndarray]:
-        """gen's method that draws the standard draws behind the outcomes.
+        """The method of gen that draws the standard draws behind the outcomes.
 
         Called as fill(out=values), it fills contiguous `values` with
         standard normals for Gaussian arms, uniforms on [0, 1) for
