@@ -88,8 +88,8 @@ class Marginal:
 
         `size` is required. Batch draws consume the stream exactly like
         repeated scalar draws, so prefixes of a batch match shorter batches
-        from the same stream. Equal to standard_fill then to_outcomes. The
-        engine calls those two directly; this is kept for callers outside it.
+        from the same stream. Equal to standard_fill then to_outcomes, which
+        replicate calls separately; the scalar oracle, run_trial, calls this.
         """
         out = np.empty(size)
         self.standard_fill(gen)(out=out)

@@ -26,13 +26,13 @@ and maps each round's draws once per point, or once for an arm that every
 point shares. A worst-case sweep's grid and a transportation check's two
 models run this way.
 
-run_trial walks its replication's tables, one block of T rounds, with a
-readable scalar loop; replicate runs the same arithmetic vectorized, one
-kernel call per block on the calling thread, carrying each replication's
-running sums from block to block. With threads > 1, worker threads only
-fill blocks, each its own rows. Results are bit-identical to the scalar
-path and independent of blocks, chunks, thread count and the other points
-of a sweep.
+run_trial, the audit oracle, draws its replication's streams afresh with
+spawn and Marginal.draw and walks them with a readable scalar loop;
+replicate runs the same arithmetic vectorized, one kernel call per block
+on the calling thread, carrying each replication's running sums from
+block to block. With threads > 1, worker threads only fill blocks, each
+its own rows. Results are bit-identical to the scalar path and
+independent of blocks, chunks, thread count and the other points of a sweep.
 
 Regret bookkeeping uses the two-arm identity: expected simple regret equals
 gap times misidentification probability, so the engine counts wrong
@@ -237,10 +237,12 @@ def simulate_rounds(
 ) -> tuple[list[RoundRecord], TrialResult]:
     """Reference scalar trial over explicit outcome tables.
 
-    y1[t] and y2[t] are the round-t potential outcomes; u[t] the round-t
-    selection uniform (ignored by block policies). Exposed so harnesses
-    can perturb individual rounds and audit predictability: changing the
-    round-t outcome must leave w_used and mu_tilde_pre of round t intact.
+    y1[t] and y2[t] are the round-t potential outcomes, y1 only for the
+    rounds arm 1 can play (block_cut(policy, T) of them under a block
+    schedule); u[t] is the round-t selection uniform (ignored by block
+    policies). Exposed so harnesses can perturb individual rounds and
+    audit predictability: changing the round-t outcome must leave w_used
+    and mu_tilde_pre of round t intact.
     """
     state = AllocationState()
     cut = block_cut(policy, T)
@@ -267,17 +269,18 @@ def run_trial_records(
 ) -> tuple[list[RoundRecord], TrialResult]:
     """One trial, returning its per-round records alongside the result.
 
-    Its tables come from replicate's fill, as one replication in one block
-    of T rounds; both arms' drawn rounds are mapped here with to_outcomes.
+    Its inputs are replication i's own streams, drawn afresh: spawn(seed,
+    4i + k) for arm 1 (the rounds it can play), arm 2 and, for adaptive
+    policies, the selection uniforms (k = 0, 1, 2).
     """
     _require_int("replication", replication, 62)
-    ((_, tables),) = _blocks(cfg, replication, replication + 1, cfg.T)
-    y1, y2, *u = tables[:, :, 0]
-    cfg.instance.arm1.to_outcomes(y1[: block_cut(cfg.policy, cfg.T)])
-    cfg.instance.arm2.to_outcomes(y2)
-    return simulate_rounds(
-        cfg.instance, cfg.T, cfg.policy, cfg.estimator, y1, y2, u[0] if u else None
-    )
+    inst, seed, T = cfg.instance, cfg.seed, cfg.T
+    cut = block_cut(cfg.policy, T)
+    stream = _STREAMS_PER_REP * replication
+    y1 = inst.arm1.draw(spawn(seed, stream), T if cut is None else cut)
+    y2 = inst.arm2.draw(spawn(seed, stream + 1), T)
+    u = spawn(seed, stream + 2).random(T) if cut is None else None
+    return simulate_rounds(inst, T, cfg.policy, cfg.estimator, y1, y2, u)
 
 
 def run_trial(cfg: TrialConfig, replication: int = 0) -> TrialResult:
@@ -329,16 +332,12 @@ def _kernel_adaptive(policy: AdaptiveNeyman, estimator: str, arm1, arm2, t0: int
     acc1, acc2, n1, n2, mean1, mean2, m2_1, m2_2 = state
 
     for t in range(len(z1)):
-        if t0 + t == 0:
-            w1 = 0.5
-            w2 = 0.5
-        else:
-            v1 = np.where(m2_1 > 0.0, m2_1 / np.maximum(n1, 1.0), eta)
-            v2 = np.where(m2_2 > 0.0, m2_2 / np.maximum(n2, 1.0), eta)
-            s1 = np.sqrt(v1)
-            s2 = np.sqrt(v2)
-            w1 = np.clip(s1 / (s1 + s2), w_min, 1.0 - w_min)
-            w2 = 1.0 - w1
+        v1 = np.where(m2_1 > 0.0, m2_1 / np.maximum(n1, 1.0), eta)
+        v2 = np.where(m2_2 > 0.0, m2_2 / np.maximum(n2, 1.0), eta)
+        s1 = np.sqrt(v1)
+        s2 = np.sqrt(v2)
+        w1 = np.clip(s1 / (s1 + s2), w_min, 1.0 - w_min)
+        w2 = 1.0 - w1
         pick = u[t] < w1
         notpick = ~pick
         y = np.where(pick, arm1(z1[t]), arm2(z2[t]))

@@ -123,15 +123,14 @@ def variance_estimate(state: AllocationState, a: int, eta: float) -> float:
 def allocation_probability(state: AllocationState, policy: Policy) -> float:
     """Probability of selecting arm 1 this round.
 
-    AdaptiveNeyman returns exactly 1/2 in round 1, then
-    sd_hat(1)/(sd_hat(1)+sd_hat(2)) clamped to [w_min, 1-w_min]. The block
+    AdaptiveNeyman returns sd_hat(1)/(sd_hat(1)+sd_hat(2)) clamped to
+    [w_min, 1-w_min]: exactly 1/2 in round 1, with both arms on the floor
+    eta (s/(s+s), which the clamp keeps as w_min <= 1/2). The block
     policies are deterministic; for them this reports the target fraction
     (w*(1) for the oracle, 1/2 for uniform), which is also the weight the
     AIPW/IPW estimators use on their rounds.
     """
     if isinstance(policy, AdaptiveNeyman):
-        if state.counts == (0, 0):
-            return 0.5
         s1 = math.sqrt(variance_estimate(state, 1, policy.eta))
         s2 = math.sqrt(variance_estimate(state, 2, policy.eta))
         w = s1 / (s1 + s2)

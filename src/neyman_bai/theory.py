@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -115,19 +114,10 @@ class TransportReport:
     mean_n1: float
 
 
-def _event_frequency(
-    reps: Replications, event: Callable[[Replications], np.ndarray]
-) -> tuple[float, float, float, float]:
-    """(event prob, its SE, mean N1, SE of mean N1) over one model's replications."""
+def _event_frequency(reps: Replications) -> tuple[float, float, float, float]:
+    """(P(arm 1 recommended), its SE, mean N1, SE of mean N1) over one model's replications."""
     R = len(reps.n1)
-    hit = event(reps)
-    if not (isinstance(hit, np.ndarray) and hit.dtype == np.bool_ and hit.shape == (R,)):
-        shape = getattr(hit, "shape", None)
-        raise ValueError(
-            f"event must return a boolean array of shape ({R},), one entry per "
-            f"replication; got {type(hit).__name__} with shape {shape}"
-        )
-    p = np.count_nonzero(hit) / R
+    p = np.count_nonzero(reps.recommended == 1) / R
     p_se = math.sqrt(p * (1.0 - p) / R)
     n1_mean = float(reps.n1.mean())
     n1_sd = float(reps.n1.std(ddof=1)) if R > 1 else 0.0
@@ -141,28 +131,23 @@ def check_transportation(
     T: int,
     R: int,
     seed: int,
-    event: Callable[[Replications], np.ndarray] | None = None,
     threads: int = 1,
 ) -> TransportReport:
-    """Verify E[N1]*KL1 + E[N2]*KL2 >= d(P_base(event), P_alt(event)).
+    """Verify E[N1]*KL1 + E[N2]*KL2 >= d(P_base(E), P_alt(E)), E = {arm 1 recommended}.
 
     Expected pull counts are taken under the baseline model; KLs are
     closed form per arm; event frequencies come from Monte Carlo under
     both models with the same seed and the sample-mean estimator, in one
-    replicate call, so both models read one fill of the tables. `event`
-    maps the R replications of one model to a boolean array of shape (R,)
-    marking the replications in the event; anything else raises
-    ValueError. The default event is {recommended arm == 1}.
+    replicate call, so both models read one fill of the tables. Count
+    another event on the two Replications that call returns.
     """
     kl1 = kl_divergence(baseline.arm1, alternative.arm1)
     kl2 = kl_divergence(baseline.arm2, alternative.arm2)
-    if event is None:
-        event = lambda reps: reps.recommended == 1
 
     cfg = TrialConfig(baseline, T, policy, "sample_mean", seed)
     base_reps, alt_reps = replicate(cfg, R, threads, instances=[baseline, alternative])
-    p, p_se, n1_mean, n1_mean_se = _event_frequency(base_reps, event)
-    q, q_se, _, _ = _event_frequency(alt_reps, event)
+    p, p_se, n1_mean, n1_mean_se = _event_frequency(base_reps)
+    q, q_se, _, _ = _event_frequency(alt_reps)
 
     lhs = n1_mean * kl1 + (T - n1_mean) * kl2
     lhs_se = abs(kl1 - kl2) * n1_mean_se

@@ -212,10 +212,10 @@ class TestBlockBoundaries:
 class TestStreamIdentity:
     """Table columns are the documented streams, independent of how they are opened.
 
-    The scalar/vectorized agreement tests share _fill, so they cannot
-    notice a change in which stream a column comes from; these tests pin
-    the columns to fresh spawn(seed, 4i + k) streams and the outputs to
-    digests.
+    The scalar oracle draws fresh spawn(seed, 4i + k) streams, so the
+    scalar/vectorized agreement tests catch a fill that reads another
+    stream; these tests pin each column to its stream directly, without
+    the kernels, and the outputs to digests.
     """
 
     @staticmethod

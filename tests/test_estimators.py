@@ -97,18 +97,17 @@ class TestPredictability:
         cfg = TrialConfig(inst, 30, AdaptiveNeyman(eta=0.2), "aipw", seed=13)
         records, _ = run_trial_records(cfg)
 
-        from neyman_bai.engine import _blocks
-
-        ((_, (y1, y2, u)),) = _blocks(cfg, 0, 1, cfg.T)
-        inst.arm1.to_outcomes(y1)  # the block holds the arms' standard draws
-        inst.arm2.to_outcomes(y2)
+        # replication 0's streams, drawn as run_trial_records draws them
+        y1 = inst.arm1.draw(spawn(cfg.seed, 0), cfg.T)
+        y2 = inst.arm2.draw(spawn(cfg.seed, 1), cfg.T)
+        u = spawn(cfg.seed, 2).random(cfg.T)
         for t_hit in (4, 11, 22):
-            y1_mod = y1[:, 0].copy()
-            y2_mod = y2[:, 0].copy()
+            y1_mod = y1.copy()
+            y2_mod = y2.copy()
             y1_mod[t_hit] += 17.0
             y2_mod[t_hit] -= 9.0
             mod_records, _ = simulate_rounds(
-                inst, cfg.T, cfg.policy, cfg.estimator, y1_mod, y2_mod, u[:, 0]
+                inst, cfg.T, cfg.policy, cfg.estimator, y1_mod, y2_mod, u
             )
             # everything strictly before the hit round is untouched
             assert mod_records[:t_hit] == records[:t_hit]

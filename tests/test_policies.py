@@ -95,8 +95,19 @@ class TestAdaptivePolicy:
         with pytest.raises(ValueError):
             AdaptiveNeyman(w_min=0.6)
 
-    def test_first_round_is_half(self):
-        assert allocation_probability(AllocationState(), AdaptiveNeyman()) == 0.5
+    @given(
+        st.one_of(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            st.floats(0.0, 2.3e-308, exclude_min=True),  # subnormal floors
+            st.just(5e-324),
+        ),
+        st.one_of(st.floats(0.0, 0.5, exclude_min=True), st.just(0.5)),
+    )
+    @settings(max_examples=300)
+    def test_first_round_is_half(self, eta, w_min):
+        """Both arms sit on the floor eta, and s / (s + s) is exactly 1/2."""
+        pol = AdaptiveNeyman(eta, w_min)
+        assert allocation_probability(AllocationState(), pol) == 0.5
 
     def test_tracks_sd_ratio(self):
         s = _feed([0.0, 2.0], arm=1)  # sd 1
