@@ -107,6 +107,54 @@ class TestScalarVectorizedAgreement:
                 run_trial(cfg, i)
 
 
+class TestOracleStreams:
+    """run_trial_records reads replication i's spawn(seed, 4i + k) streams."""
+
+    @pytest.mark.parametrize(
+        "policy",
+        [AdaptiveNeyman(eta=0.2), Uniform(), OracleNeyman(1.0, 2.5)],
+        ids=["adaptive", "uniform", "oracle"],
+    )
+    def test_records_come_from_the_replications_streams(self, policy):
+        cfg = TrialConfig(GAUSS, 25, policy, "aipw", seed=11)
+        i = 3
+        records, _ = run_trial_records(cfg, i)
+        y1 = GAUSS.arm1.draw(spawn(cfg.seed, 4 * i), cfg.T)
+        y2 = GAUSS.arm2.draw(spawn(cfg.seed, 4 * i + 1), cfg.T)
+        for t, rec in enumerate(records):
+            assert rec.outcome == (y1[t] if rec.arm == 1 else y2[t]), t
+        arms = [rec.arm for rec in records]
+        cut = block_cut(policy, cfg.T)
+        if cut is not None:
+            assert arms == [1] * cut + [2] * (cfg.T - cut)
+            return
+        u = spawn(cfg.seed, 4 * i + 2).random(cfg.T)
+        assert arms[0] == (1 if u[0] < 0.5 else 2)
+        for t, rec in enumerate(records):
+            if rec.arm == 1:
+                assert u[t] < rec.w_used, t
+        assert 1 in arms and 2 in arms
+
+    @pytest.mark.parametrize(
+        "eta, w_min",
+        [(5e-324, 0.5), (5e-324, 0.01), (0.2, 0.5)],
+        ids=["subnormal-eta-half-clamp", "subnormal-eta", "half-clamp"],
+    )
+    def test_first_round_is_half_in_both_paths(self, eta, w_min):
+        """Round 1 sits both arms on the floor eta, so w = s / (s + s) = 1/2
+        in the scalar and the vectorized path, with no round-1 branch."""
+        cfg = TrialConfig(GAUSS, 29, AdaptiveNeyman(eta, w_min), "aipw", seed=7)
+        R = 17
+        for i in range(R):
+            assert run_trial_records(cfg, i)[0][0].w_used == 0.5, i
+        got = replicate(cfg, R, 2)
+        rec, corr, n1, mu = _scalar_replications(cfg, R)
+        assert np.array_equal(got.recommended, rec)
+        assert np.array_equal(got.correct, corr)
+        assert np.array_equal(got.n1, n1)
+        assert np.array_equal(got.mu_hat, mu)
+
+
 class TestStarvedArm:
     """The sample-mean error names the arm and the lowest starved replication.
 

@@ -207,6 +207,35 @@ class TestTransportation:
         assert rep.mean_n1 == float(runs[0].n1.mean())
         assert 0.0 < rep.p_alternative < rep.p_baseline < 1.0
 
+    @pytest.mark.parametrize(
+        "policy", [AdaptiveNeyman(eta=0.2), Uniform()], ids=["adaptive", "uniform"]
+    )
+    def test_another_event_is_counted_on_the_checks_own_replicate_call(self, policy):
+        """The documented way to count another event: the check's replicate
+        call gives its frequencies, and {arm 2 recommended} is the complement."""
+        base = Instance(Marginal.gaussian(0.2, 1.0), Marginal.gaussian(0.0, 1.0))
+        alt = Instance(Marginal.gaussian(0.0, 1.0), Marginal.gaussian(0.2, 1.0))
+        T, R, seed = 30, 400, 3
+        rep = check_transportation(base, alt, policy, T=T, R=R, seed=seed)
+        cfg = TrialConfig(base, T, policy, "sample_mean", seed)
+        base_reps, alt_reps = replicate(cfg, R, instances=[base, alt])
+        assert rep.p_baseline == np.count_nonzero(base_reps.recommended == 1) / R
+        assert rep.p_alternative == np.count_nonzero(alt_reps.recommended == 1) / R
+        assert rep.mean_n1 == float(base_reps.n1.mean())
+        assert 0.0 < rep.p_baseline < 1.0
+        flipped = np.count_nonzero(base_reps.recommended == 2) / R
+        assert flipped == pytest.approx(1.0 - rep.p_baseline, abs=1e-15)
+
+    def test_event_is_no_longer_a_parameter(self):
+        """The check counts {arm 1 recommended} only; a custom event is refused
+        rather than silently replaced by the default."""
+        base = Instance(Marginal.gaussian(0.2, 1.0), Marginal.gaussian(0.0, 1.0))
+        with pytest.raises(TypeError, match="event"):
+            check_transportation(
+                base, base, Uniform(), T=20, R=10, seed=3,
+                event=lambda reps: reps.recommended == 2,
+            )
+
     def test_cross_family_models_rejected(self):
         base = Instance(Marginal.gaussian(0.2, 1.0), Marginal.gaussian(0.0, 1.0))
         alt = Instance(Marginal.bernoulli(0.6), Marginal.bernoulli(0.4))
