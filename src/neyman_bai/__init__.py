@@ -61,7 +61,7 @@ from .theory import (
     worst_case_gap,
 )
 
-__version__ = "0.10.0"
+__version__ = "0.10.1"
 
 __all__ = [
     "AdaptiveNeyman",

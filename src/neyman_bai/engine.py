@@ -10,12 +10,18 @@ are a pure function of (seed, i) and never depend on the policy's path.
 
 Tables are drawn in round blocks: replicate takes replications in chunks
 of at most _CHUNK_ROWS and draws their rounds into round-major (rounds,
-replications) blocks of about _CHUNK_CELLS cells per stream, so memory
-does not grow with T. A Philox stream is fixed by its key, and drawing it
-in pieces gives the same values as one draw, so the blocks hold exactly
-one whole-trial draw per stream. A block of whole trials re-keys one
-generator from row to row (rng.restarter); a trial longer than a block
-keeps a generator per stream open from block to block (see _fill).
+replications) blocks, so memory does not grow with T. A chunk's whole
+trials form one block when they fit in _CHUNK_CELLS (4M) cells per
+stream; a trial that spans several blocks gets blocks of _BLOCK_CELLS
+(1M) cells per stream, or of _MIN_ROUNDS rounds for chunks wider than
+2,048 rows. The table buffer, the peak of a call's memory, holds
+streams * rounds * rows * 8 bytes: at most 96 MiB for whole trials, 48
+MiB for several blocks (24 MiB up to 2,048 rows). A Philox stream is
+fixed by its key, and drawing it in pieces gives the same values as one
+draw, so the blocks hold exactly one whole-trial draw per stream. A block
+of whole trials re-keys one generator from row to row (rng.restarter); a
+trial longer than a block keeps each stream's draw method open from block
+to block (see _fill).
 The blocks hold standard draws only (normals, or uniforms for Bernoulli);
 the kernels map both arms to outcomes one round at a time, z * sd + mean
 (u < mean for Bernoulli), the same operations as Marginal.to_outcomes.
@@ -70,12 +76,22 @@ DEFAULT_GRID = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 3.0)
 # kernel's cost per cell levels off at a few thousand rows.
 _CHUNK_ROWS = 4096
 
-# Cells per stream in one round block (8 bytes each): a chunk draws its
-# rounds in blocks of _CHUNK_CELLS // rows, or whole trials when T fits.
+# Cells per stream (8 bytes each) of a block of whole trials: a chunk draws
+# all T rounds in one block when T * rows fits. Re-keying a generator costs
+# far less than spawning one per stream, so trials that fit stay whole.
 _CHUNK_CELLS = 1 << 22
 
-# Rows drawn into a worker's scratch between transposed copies into a block;
-# the scratch then stays in cache.
+# Cells per stream of a round block when a trial spans several: rounds of
+# _BLOCK_CELLS // rows (655 at 1,600 rows), but never fewer than _MIN_ROUNDS.
+# Each round block costs one draw call per row and stream, and worker threads
+# hand the interpreter lock over at every call: at 4,096 rows, 256-round
+# blocks filled about 2x slower at 2 and 4 threads than 512-round ones.
+_BLOCK_CELLS = 1 << 20
+_MIN_ROUNDS = 512
+
+# Rows drawn into a worker's scratch between transposed copies into a block.
+# The scratch holds _BAND * rounds * 8 bytes (fewer rows if the worker has
+# fewer): 0.64 MiB at 655 rounds, 1.95 MiB for whole 2,000-round trials.
 _BAND = 128
 
 # Stream keys keep a seed's low 64 bits, so a wider seed would alias another;
@@ -148,7 +164,7 @@ def _row_fill(arm: Marginal | None, gen: np.random.Generator):
     return gen.random if arm is None else arm.standard_fill(gen)
 
 
-def _fill(cfg, lo, t0, blocks, gens, rows, scratch) -> None:
+def _fill(cfg, lo, t0, blocks, kept, rows, scratch) -> None:
     """Draw the rounds of one block for chunk rows a..b-1 (rows = (a, b)).
 
     blocks[k][t, j] receives round t0 + t of stream 4(lo + j) + k: arm-1
@@ -159,22 +175,23 @@ def _fill(cfg, lo, t0, blocks, gens, rows, scratch) -> None:
     block schedule arm 1 is never observed from the cut on, so those
     rounds of its stream are not drawn and stay unset.
 
-    When the block holds whole trials (gens is None), the call opens one
+    When the block holds whole trials (kept is None), the call opens one
     generator with spawn and re-keys it to each row's stream in turn (see
     rng.restarter); the call's generator and re-keyer are its own, so
-    worker threads share neither. Otherwise gens[k][j] keeps stream k of
-    row j open across blocks, and the first block (t0 == 0) spawns it.
+    worker threads share neither. Otherwise kept[k][j] is the draw method
+    of stream k of row j, bound to a generator that stays open across
+    blocks; the first block (t0 == 0) spawns it.
 
     Each row's standard draws take one call that releases the interpreter
-    lock; every _BAND rows the scratch, still in cache, is transposed into
-    the block, so parallel fills seldom wait on the lock.
+    lock; every _BAND rows the scratch is transposed into the block, so
+    parallel fills seldom wait on the lock.
     """
     a, b = rows
     n = blocks.shape[1]
     seed = cfg.seed
     cut = block_cut(cfg.policy, cfg.T)
     arms = (cfg.instance.arm1, cfg.instance.arm2, None)  # None: selection uniforms
-    if gens is None:
+    if kept is None:
         gen = spawn(seed, _STREAMS_PER_REP * (lo + a))
         rekey = restarter(gen, seed)
     for k, block in enumerate(blocks):
@@ -182,22 +199,23 @@ def _fill(cfg, lo, t0, blocks, gens, rows, scratch) -> None:
         m = n if k or cut is None else min(n, max(0, cut - t0))
         if m == 0:
             continue
-        if gens is None:
+        if kept is None:
             fill = _row_fill(arm, gen)
         for i in range(a, b, _BAND):
             c = min(b, i + _BAND)
             band = scratch[: c - i, :m]
-            if gens is None:
+            if kept is None:
                 stream = _STREAMS_PER_REP * (lo + i) + k
                 for row in band:
                     rekey(stream)
                     fill(out=row)
                     stream += _STREAMS_PER_REP
             else:
-                for j in range(i, c):
-                    if t0 == 0:
-                        gens[k][j] = spawn(seed, _STREAMS_PER_REP * (lo + j) + k)
-                    _row_fill(arm, gens[k][j])(out=band[j - i])
+                if t0 == 0:
+                    for j in range(i, c):
+                        kept[k][j] = _row_fill(arm, spawn(seed, _STREAMS_PER_REP * (lo + j) + k))
+                for fill, row in zip(kept[k][i:c], band):
+                    fill(out=row)
             block[:m, i:c] = band.T
 
 
@@ -218,10 +236,10 @@ def _blocks(cfg: TrialConfig, lo: int, hi: int, rounds: int, threads: int = 1, p
     edges = [B * p // parts for p in range(parts + 1)]
     ranges = list(zip(edges[:-1], edges[1:]))
     scratch = [np.empty((min(_BAND, b - a), rounds)) for a, b in ranges]
-    gens = None if rounds >= T else [[None] * B for _ in range(nstreams)]
+    kept = None if rounds >= T else [[None] * B for _ in range(nstreams)]
     for t0 in range(0, T, rounds):
         blocks = buf[:, : min(rounds, T - t0)]
-        fill = partial(_fill, cfg, lo, t0, blocks, gens)
+        fill = partial(_fill, cfg, lo, t0, blocks, kept)
         list((pool.map if pool is not None and parts > 1 else map)(fill, ranges, scratch))
         yield t0, blocks
 
@@ -407,9 +425,15 @@ def _kernel_block(cut: int, w_target: float, estimator: str, arm1, arm2, t0: int
 
 
 def _layout(R: int, T: int) -> tuple[int, int]:
-    """Replications per chunk and rounds per block."""
+    """Replications per chunk and rounds per block.
+
+    Whole trials when T * rows fits _CHUNK_CELLS; otherwise blocks of
+    _BLOCK_CELLS cells per stream and at least _MIN_ROUNDS rounds.
+    """
     rows = min(R, _CHUNK_ROWS)
-    return rows, min(T, max(1, _CHUNK_CELLS // rows))
+    if T * rows <= _CHUNK_CELLS:
+        return rows, T
+    return rows, min(T, max(_MIN_ROUNDS, _BLOCK_CELLS // rows))
 
 
 def _finish(cfg: TrialConfig, acc: np.ndarray, n1: np.ndarray) -> Replications:

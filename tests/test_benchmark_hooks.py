@@ -69,8 +69,13 @@ def test_traced_transportation():
     assert sum(s.name == spans.EVENT_FREQ for s in recorded) == 2
 
 
-def test_replicate_opens_streams_through_engine_spawn(monkeypatch):
-    """perfbench/probe.py stubs engine.spawn to see the first simulated round."""
+@pytest.mark.parametrize("budget", [T, 300_000], ids=["whole-trial", "several-blocks"])
+def test_replicate_opens_streams_through_engine_spawn(budget, monkeypatch):
+    """perfbench/probe.py stubs engine.spawn to see the first simulated round.
+
+    Whole trials re-key one spawned generator; at T = 300,000 a trial of
+    R = 20 rows spans several blocks, and each stream is spawned and kept.
+    """
 
     class Sentinel(Exception):
         pass
@@ -80,6 +85,8 @@ def test_replicate_opens_streams_through_engine_spawn(monkeypatch):
 
     monkeypatch.setattr(engine, "spawn", stub)
     inst = Instance(Marginal.gaussian(0.0, 1.0), Marginal.gaussian(0.0, 4.0))
-    cfg = TrialConfig(inst, T, AdaptiveNeyman(), "aipw", 1)
+    cfg = TrialConfig(inst, budget, AdaptiveNeyman(), "aipw", 1)
+    rounds = engine._layout(R, budget)[1]
+    assert (rounds == budget) == (budget == T)
     with pytest.raises(Sentinel):
         engine.replicate(cfg, R, THREADS)

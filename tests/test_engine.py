@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import neyman_bai.engine as eng
 from neyman_bai.distributions import Instance, Marginal
@@ -57,8 +59,11 @@ def _starved_message(cfg, R):
 
 
 def _force_layout(monkeypatch, rows, cells):
+    """Chunks of `rows` rows; whole trials up to `cells` cells per stream, or blocks of `cells`."""
     monkeypatch.setattr(eng, "_CHUNK_ROWS", rows)
     monkeypatch.setattr(eng, "_CHUNK_CELLS", cells)
+    monkeypatch.setattr(eng, "_BLOCK_CELLS", cells)
+    monkeypatch.setattr(eng, "_MIN_ROUNDS", 1)
 
 
 def _combos(inst):
@@ -224,6 +229,28 @@ class TestDeterminism:
             assert np.array_equal(whole.mu_hat, chunked.mu_hat)
 
 
+class TestLayout:
+    """Whole trials where they fit in _CHUNK_CELLS, round blocks of _BLOCK_CELLS otherwise."""
+
+    def test_benchmark_and_fixture_shapes(self):
+        assert eng._layout(20000, 50) == (4096, 50)  # transportation check
+        assert eng._layout(1600, 2000) == (1600, 2000)  # whole trials, re-keyed
+        assert eng._layout(1600, 10**4) == (1600, 655)  # benchmark sweep
+        assert eng._layout(10**4, 10**4) == (4096, 512)  # tier-1 bound sweep
+
+    @given(R=st.integers(1, 10**7), T=st.integers(2, 10**9))
+    @settings(max_examples=300)
+    def test_several_block_tables_stay_small(self, R, T):
+        """At most 24 MiB of tables up to 2,048 rows, 48 MiB at 4,096."""
+        rows, rounds = eng._layout(R, T)
+        assert rows == min(R, eng._CHUNK_ROWS)
+        if T * rows <= eng._CHUNK_CELLS:
+            assert rounds == T
+        else:
+            assert eng._MIN_ROUNDS <= rounds < T
+            assert 3 * rounds * rows * 8 <= (24 << 20 if rows <= 2048 else 48 << 20)
+
+
 class TestBlockBoundaries:
     """replicate equals the scalar oracle across chunk and round-block edges.
 
@@ -317,15 +344,20 @@ class TestStreamIdentity:
     def test_block_filled_streams_equal_whole_stream_draws(self, inst, policy, threads):
         """Streams kept open across 7-round blocks (the last one partial).
 
-        Uniform's cut at round 15 falls inside the third block, and arm 1
-        is not drawn in the last two.
+        A 300-row chunk from replication 2^61: rows 127/128 straddle a band
+        edge, 149/150 the second worker's first row at two threads, and
+        99/100 and 199/200 the workers' first rows at three. Uniform's cut
+        at round 15 falls inside the third block, and arm 1 is not drawn in
+        the last two.
         """
         cfg = TrialConfig(inst, 30, policy, "aipw", seed=77)
+        lo = 2**61
         with ThreadPoolExecutor(threads) as pool:
-            blocks = [(t0, b.copy()) for t0, b in eng._blocks(cfg, 5, 9, 7, threads, pool)]
+            blocks = [(t0, b.copy()) for t0, b in eng._blocks(cfg, lo, lo + 300, 7, threads, pool)]
         assert [t0 for t0, _ in blocks] == [0, 7, 14, 21, 28]
         tables = np.concatenate([b for _, b in blocks], axis=1)
-        self._assert_fresh_streams(cfg, 5, tables)
+        edges = [0, 99, 100, 127, 128, 149, 150, 199, 200, 299]
+        self._assert_fresh_streams(cfg, lo, tables, edges)
 
     # SHA-256 of n1 (<i8) then mu_hat (<f8) for R = 50, computed before
     # streams were opened by re-keying one generator per chunk.

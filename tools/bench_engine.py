@@ -11,16 +11,19 @@ in a fresh interpreter, and the sides alternate which goes first from one
 repeat to the next, so a slow stretch of a shared host falls on both
 sides alike. One measurement covers:
 
+- the benchmark's sweep (`sweep_adaptive_2t`): sigmas (1, 2), adaptive
+  Neyman + AIPW, grid 0.5/1/1.5, R = 1600, T = 10^4, threads 2, as wall
+  and CPU time, cells per second and the peak RSS of the interpreter,
+  which runs the sweep before anything else;
 - table fill: ns per replication-round cell to draw every table a
-  replicate call draws, without the kernels, per family, on one thread;
+  replicate call draws, without the kernels, per family, on one thread,
+  at two shapes of whole trials (T = 2000, R = 1600 and T = 50,
+  R = 20,000) and at the sweep's shape, whose trials span several blocks;
 - kernel ns/cell for the adaptive (AIPW) and the block (uniform, AIPW)
   kernels at 400 to 16,000 rows, on one round-major block of 256 rounds
   of Gaussian draws, one configuration;
 - replicate wall and CPU time for adaptive Neyman + AIPW at R = 3200,
   T = 10^4 and threads 1, 2 and 4;
-- the benchmark's sweep (`sweep_adaptive_2t`): sigmas (1, 2), adaptive
-  Neyman + AIPW, grid 0.5/1/1.5, R = 1600, T = 10^4, threads 2, as wall
-  and CPU time and cells per second;
 - the benchmark's transportation check (`transport_short`): verify check
   7's pair, uniform allocation, T = 50, R = 20,000, threads 1, as the
   median wall and CPU time of five operations (one operation takes about
@@ -29,8 +32,9 @@ sides alike. One measurement covers:
   threads 1, as wall and CPU time, with its PASS flag and detail line;
 - the line count of src/ and the size of neyman_bai.__all__.
 
-Under `runs`, each label holds the median of every figure over the
-repeats and the measurements of each repeat, next to the host (nproc,
+Each fill figure and kernel width is the median of OPERATIONS (5)
+operations. Under `runs`, each label holds the median of every figure
+over the repeats and the measurements of each repeat, next to the host (nproc,
 CPU model, Python and numpy versions). Labels already in the file and not
 measured again are kept. The engine must be at version 0.8.0 or later
 (kernels that map both arms per round).
@@ -42,6 +46,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -52,7 +57,8 @@ import numpy as np
 
 WIDTHS = (400, 800, 1600, 3200, 8000, 16000)
 KERNEL_ROUNDS = 256
-FILL_SHAPES = ((2000, 1600), (50, 20000))  # (T, R)
+FILL_SHAPES = ((2000, 1600), (50, 20000), (10_000, 1600))  # (T, R)
+OPERATIONS = 5  # per fill figure and kernel width
 REPLICATE = {"R": 3200, "T": 10_000}
 THREADS = (1, 2, 4)
 SWEEP = {"sigmas": (1.0, 2.0), "T": 10_000, "grid": (0.5, 1.0, 1.5), "R": 1600, "threads": 2}
@@ -89,9 +95,13 @@ def _host() -> dict:
 
 
 def _seconds(fn) -> float:
-    t = time.perf_counter()
-    fn()
-    return time.perf_counter() - t
+    """Median wall seconds of OPERATIONS calls of fn."""
+    walls = []
+    for _ in range(OPERATIONS):
+        t = time.perf_counter()
+        fn()
+        walls.append(time.perf_counter() - t)
+    return statistics.median(walls)
 
 
 def _fill_all(engine, cfg, R: int) -> None:
@@ -139,6 +149,13 @@ def measure() -> dict:
     from neyman_bai.distributions import Instance, Marginal, lower_bound_alternative
     from neyman_bai.policies import AdaptiveNeyman, Uniform
 
+    sweep = _timed(lambda: engine.sweep_worst_case(
+        SWEEP["sigmas"], SWEEP["T"], AdaptiveNeyman(), "aipw", SWEEP["R"], 7,
+        grid=SWEEP["grid"], threads=SWEEP["threads"],
+    ))
+    sweep["cells_per_s"] = len(SWEEP["grid"]) * SWEEP["R"] * SWEEP["T"] / sweep["wall_s"]
+    sweep["peak_rss_mib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
     families = {
         "gaussian": Instance(Marginal.gaussian(0.03, 1.0), Marginal.gaussian(0.0, 4.0)),
         "bernoulli": Instance(Marginal.bernoulli(0.52), Marginal.bernoulli(0.48)),
@@ -161,12 +178,6 @@ def measure() -> dict:
         str(threads): _timed(lambda: engine.replicate(cfg, REPLICATE["R"], threads))
         for threads in THREADS
     }
-
-    sweep = _timed(lambda: engine.sweep_worst_case(
-        SWEEP["sigmas"], SWEEP["T"], AdaptiveNeyman(), "aipw", SWEEP["R"], 7,
-        grid=SWEEP["grid"], threads=SWEEP["threads"],
-    ))
-    sweep["cells_per_s"] = len(SWEEP["grid"]) * SWEEP["R"] * SWEEP["T"] / sweep["wall_s"]
 
     T = TRANSPORT["T"]
     transport = _median([_timed(lambda: theory.check_transportation(
@@ -232,7 +243,7 @@ def main(argv=None) -> None:
     doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     doc["host"] = _host()
     doc["setup"] = {
-        "kernel_rounds": KERNEL_ROUNDS, "kernel_estimator": "aipw",
+        "kernel_rounds": KERNEL_ROUNDS, "kernel_estimator": "aipw", "operations": OPERATIONS,
         "replicate": REPLICATE, "sweep": SWEEP, "transport": TRANSPORT,
         "order": "sides alternate which runs first from repeat to repeat",
     }
