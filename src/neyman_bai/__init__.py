@@ -47,7 +47,6 @@ from .policies import (
     policy_from_config,
     policy_to_config,
     update,
-    variance_estimate,
 )
 from .rng import spawn
 from .theory import (
@@ -55,13 +54,12 @@ from .theory import (
     binary_relative_entropy,
     check_transportation,
     minimax_lower_bound_constant,
-    misid_exponent,
     misid_upper_bound,
     regret_upper_bound_curve,
     worst_case_gap,
 )
 
-__version__ = "0.10.1"
+__version__ = "0.11.0"
 
 __all__ = [
     "AdaptiveNeyman",
@@ -93,7 +91,6 @@ __all__ = [
     "kl_divergence",
     "lower_bound_alternative",
     "minimax_lower_bound_constant",
-    "misid_exponent",
     "misid_upper_bound",
     "policy_from_config",
     "policy_to_config",
@@ -107,6 +104,5 @@ __all__ = [
     "spawn",
     "sweep_worst_case",
     "update",
-    "variance_estimate",
     "worst_case_gap",
 ]

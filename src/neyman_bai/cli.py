@@ -130,8 +130,9 @@ def _load_config(args: argparse.Namespace, command: str, required: tuple[str, ..
 def _resolve_seed(args: argparse.Namespace, cfg: dict | None) -> int:
     """The master seed from the first source that sets one, in [0, 2^64).
 
-    The generator key keeps a seed's low 64 bits, so a seed outside that
-    range would silently run another seed's streams; it is rejected instead.
+    A seed is one 64-bit word of the generator key, and rng.spawn rejects
+    one outside that range; here it is a configuration error naming its
+    source.
     """
     if args.seed is not None:
         seed, source = args.seed, "--seed"

@@ -15,7 +15,6 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -86,34 +85,15 @@ class Marginal:
     def draw(self, gen: np.random.Generator, size: int) -> np.ndarray:
         """Draw `size` outcomes using an externally managed generator.
 
-        `size` is required. Batch draws consume the stream exactly like
-        repeated scalar draws, so prefixes of a batch match shorter batches
-        from the same stream. Equal to standard_fill then to_outcomes, which
-        replicate calls separately; the scalar oracle, run_trial, calls this.
+        Gaussian outcomes are mean + sd * z for standard normals z, Bernoulli
+        outcomes u < mean as 0.0/1.0 for uniforms u on [0, 1). `size` is
+        required. Batch draws consume the stream exactly like repeated scalar
+        draws, so prefixes of a batch match shorter batches from the same
+        stream. The scalar oracle, run_trial, draws its outcomes with this.
         """
-        out = np.empty(size)
-        self.standard_fill(gen)(out=out)
-        self.to_outcomes(out)
-        return out
-
-    def standard_fill(self, gen: np.random.Generator) -> Callable[..., np.ndarray]:
-        """The method of gen that draws the standard draws behind the outcomes.
-
-        Called as fill(out=values), it fills contiguous `values` with
-        standard normals for Gaussian arms, uniforms on [0, 1) for
-        Bernoulli arms; to_outcomes maps them to outcomes. The method is
-        numpy's own, so a caller filling many short rows from one generator
-        binds it once and pays for no Python frame per row.
-        """
-        return gen.standard_normal if self.family is Family.GAUSSIAN else gen.random
-
-    def to_outcomes(self, values: np.ndarray) -> None:
-        """Map standard draws to outcomes in place: mean + sd*z, or u < mean."""
         if self.family is Family.GAUSSIAN:
-            np.multiply(values, self.sd, out=values)
-            np.add(values, self.mean, out=values)
-        else:
-            np.less(values, self.mean, out=values, casting="unsafe")
+            return gen.standard_normal(size) * self.sd + self.mean
+        return (gen.random(size) < self.mean).astype(np.float64)
 
 
 def _entropy_term(p: float, q: float, d: float) -> float:

@@ -24,7 +24,7 @@ trial longer than a block keeps each stream's draw method open from block
 to block (see _fill).
 The blocks hold standard draws only (normals, or uniforms for Bernoulli);
 the kernels map both arms to outcomes one round at a time, z * sd + mean
-(u < mean for Bernoulli), the same operations as Marginal.to_outcomes.
+(u < mean for Bernoulli), the same operations as Marginal.draw.
 Configurations that differ only in their arms' parameters therefore read
 the same tables, so replicate(cfg, R, threads, instances=...) runs them
 all on one fill: every kernel call takes a (points, replications) state
@@ -33,7 +33,8 @@ point shares. A worst-case sweep's grid and a transportation check's two
 models run this way.
 
 run_trial, the audit oracle, draws its replication's streams afresh with
-spawn and Marginal.draw and walks them with a readable scalar loop;
+spawn and Marginal.draw and walks them with a readable scalar loop; it
+shares no draw code with the fill, which calls numpy's methods itself.
 replicate runs the same arithmetic vectorized, one kernel call per block
 on the calling thread, carrying each replication's running sums from
 block to block. With threads > 1, worker threads only fill blocks, each
@@ -94,13 +95,13 @@ _MIN_ROUNDS = 512
 # fewer): 0.64 MiB at 655 rounds, 1.95 MiB for whole 2,000-round trials.
 _BAND = 128
 
-# Stream keys keep a seed's low 64 bits, so a wider seed would alias another;
+# Stream keys are 64-bit words, and rng.spawn rejects a wider seed;
 # replication i keys streams 4i..4i+3, so i stays below 2^62.
 _SEED_LIMIT = 1 << 64
 
 
 def _require_int(name: str, value, bits: int | None = None) -> None:
-    # Python ints only: a numpy seed would overflow the 64-bit key masking.
+    # Python ints only: numpy integers wrap silently in arithmetic such as 4i + k.
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an integer (a Python int), got {value!r}")
     if bits is not None and not 0 <= value < 1 << bits:
@@ -160,8 +161,14 @@ class Replications:
 
 
 def _row_fill(arm: Marginal | None, gen: np.random.Generator):
-    """gen's method filling out= with arm's standard draws, or selection uniforms for None."""
-    return gen.random if arm is None else arm.standard_fill(gen)
+    """gen's method filling out= with standard draws for arm, or selection uniforms for None.
+
+    Normals for a Gaussian arm, uniforms on [0, 1) otherwise. The method is
+    numpy's own, so a caller filling many short rows from one generator
+    binds it once and pays for no Python frame per row.
+    """
+    gaussian = arm is not None and arm.family is Family.GAUSSIAN
+    return gen.standard_normal if gaussian else gen.random
 
 
 def _fill(cfg, lo, t0, blocks, kept, rows, scratch) -> None:
@@ -246,7 +253,6 @@ def _blocks(cfg: TrialConfig, lo: int, hi: int, rounds: int, threads: int = 1, p
 
 def simulate_rounds(
     instance: Instance,
-    T: int,
     policy: Policy,
     estimator: str,
     y1: np.ndarray,
@@ -255,13 +261,14 @@ def simulate_rounds(
 ) -> tuple[list[RoundRecord], TrialResult]:
     """Reference scalar trial over explicit outcome tables.
 
-    y1[t] and y2[t] are the round-t potential outcomes, y1 only for the
-    rounds arm 1 can play (block_cut(policy, T) of them under a block
-    schedule); u[t] is the round-t selection uniform (ignored by block
-    policies). Exposed so harnesses can perturb individual rounds and
-    audit predictability: changing the round-t outcome must leave w_used
-    and mu_tilde_pre of round t intact.
+    The budget T is len(y2). y1[t] and y2[t] are the round-t potential
+    outcomes, y1 only for the rounds arm 1 can play (block_cut(policy, T)
+    of them under a block schedule); u[t] is the round-t selection uniform
+    (ignored by block policies). Exposed so harnesses can perturb
+    individual rounds and audit predictability: changing the round-t
+    outcome must leave w_used and mu_tilde_pre of round t intact.
     """
+    T = len(y2)
     state = AllocationState()
     cut = block_cut(policy, T)
     records: list[RoundRecord] = []
@@ -276,7 +283,7 @@ def simulate_rounds(
         records.append(RoundRecord(arm, y, w_used, state.means))
         state = update(state, arm, y)
 
-    mu_hat = ESTIMATORS[estimator](records, T)
+    mu_hat = ESTIMATORS[estimator](records)
     rec = recommend(mu_hat)
     result = TrialResult(rec, state.counts, mu_hat, rec == best_arm(instance))
     return records, result
@@ -298,7 +305,7 @@ def run_trial_records(
     y1 = inst.arm1.draw(spawn(seed, stream), T if cut is None else cut)
     y2 = inst.arm2.draw(spawn(seed, stream + 1), T)
     u = spawn(seed, stream + 2).random(T) if cut is None else None
-    return simulate_rounds(inst, T, cfg.policy, cfg.estimator, y1, y2, u)
+    return simulate_rounds(inst, cfg.policy, cfg.estimator, y1, y2, u)
 
 
 def run_trial(cfg: TrialConfig, replication: int = 0) -> TrialResult:
@@ -312,8 +319,8 @@ def _arm_outcomes(arms: Sequence[Marginal]):
     arms[g] is point g's marginal of that arm, all of one family. Row g
     holds the outcomes under arms[g]: z * sd + mean for a Gaussian arm,
     (u < mean) as 0.0/1.0 for a Bernoulli one. These are the operations of
-    Marginal.to_outcomes, in the same order, so every value matches it bit
-    for bit. A parameter that every point shares enters as one number, so
+    Marginal.draw, in the same order, so every value matches it bit for
+    bit. A parameter that every point shares enters as one number, so
     an arm the same at every point maps to one (B,) row that broadcasts.
     """
     mean = _shared([arm.mean for arm in arms])

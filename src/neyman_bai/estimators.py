@@ -1,7 +1,8 @@
 """Recommendation-phase mean estimators.
 
-All three estimators map a trial's per-round records to the pair
-(mu_hat(1), mu_hat(2)). The AIPW estimator is the primary one:
+All three estimators map a trial's per-round records, one per round of
+its budget T = len(records), to the pair (mu_hat(1), mu_hat(2)). The AIPW
+estimator is the primary one:
 
     mu_hat(a) = (1/T) * sum_t [ 1{A_t=a} (Y_t - mu_tilde_t(a)) / w_t(a)
                                 + mu_tilde_t(a) ]
@@ -17,10 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
-
-from .distributions import Instance
 
 
 @dataclass(frozen=True)
@@ -41,16 +38,14 @@ class RoundRecord:
     mu_tilde_pre: tuple[float, float]
 
 
-def _check_records(records: Sequence[RoundRecord], T: int) -> None:
+def _check_records(records: Sequence[RoundRecord]) -> None:
     if len(records) == 0:
         raise ValueError("cannot estimate from an empty record sequence")
-    if len(records) != T:
-        raise ValueError(f"expected {T} records, got {len(records)}")
 
 
-def aipw_estimate(records: Sequence[RoundRecord], T: int) -> tuple[float, float]:
-    """Augmented inverse-probability-weighted means for both arms."""
-    _check_records(records, T)
+def aipw_estimate(records: Sequence[RoundRecord]) -> tuple[float, float]:
+    """Augmented inverse-probability-weighted means for both arms, over T = len(records)."""
+    _check_records(records)
     acc1 = 0.0
     acc2 = 0.0
     for r in records:
@@ -61,12 +56,12 @@ def aipw_estimate(records: Sequence[RoundRecord], T: int) -> tuple[float, float]
         else:
             acc1 += m1
             acc2 += (r.outcome - m2) / r.w_used + m2
-    return acc1 / T, acc2 / T
+    return acc1 / len(records), acc2 / len(records)
 
 
-def ipw_estimate(records: Sequence[RoundRecord], T: int) -> tuple[float, float]:
-    """Inverse-probability-weighted means, no augmentation term."""
-    _check_records(records, T)
+def ipw_estimate(records: Sequence[RoundRecord]) -> tuple[float, float]:
+    """Inverse-probability-weighted means over T = len(records), no augmentation term."""
+    _check_records(records)
     acc1 = 0.0
     acc2 = 0.0
     for r in records:
@@ -74,16 +69,16 @@ def ipw_estimate(records: Sequence[RoundRecord], T: int) -> tuple[float, float]:
             acc1 += r.outcome / r.w_used
         else:
             acc2 += r.outcome / r.w_used
-    return acc1 / T, acc2 / T
+    return acc1 / len(records), acc2 / len(records)
 
 
-def sample_mean_estimate(records: Sequence[RoundRecord], T: int) -> tuple[float, float]:
+def sample_mean_estimate(records: Sequence[RoundRecord]) -> tuple[float, float]:
     """Per-arm arithmetic means of the observed outcomes.
 
     Raises if an arm was never observed, in which case its mean is
     undefined.
     """
-    _check_records(records, T)
+    _check_records(records)
     tot1 = tot2 = 0.0
     n1 = n2 = 0
     for r in records:
@@ -118,22 +113,3 @@ def recommend(mu_hat: tuple[float, float]) -> int:
     mu1, mu2 = mu_hat
     return 1 if mu1 >= mu2 else 2
 
-
-def martingale_residuals(records: Sequence[RoundRecord], instance: Instance) -> np.ndarray:
-    """Per-round centered AIPW summands Z_t(a), shape (T, 2).
-
-    Z_t(a) = 1{A_t=a} (Y_t - mu_tilde_t(a)) / w_t(a) + mu_tilde_t(a) - mu(a),
-    which has zero conditional mean when the true means mu(a) are supplied.
-    For the unchosen arm the indicator vanishes and the residual reduces to
-    mu_tilde_t(a) - mu(a). Test-harness operation: true means required.
-    """
-    mu_true = instance.means
-    out = np.empty((len(records), 2))
-    for i, r in enumerate(records):
-        for a in (1, 2):
-            pre = r.mu_tilde_pre[a - 1]
-            z = pre - mu_true[a - 1]
-            if r.arm == a:
-                z += (r.outcome - pre) / r.w_used
-            out[i, a - 1] = z
-    return out

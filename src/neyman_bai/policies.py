@@ -105,7 +105,7 @@ def update(state: AllocationState, a: int, y: float) -> AllocationState:
     return AllocationState(tuple(counts), tuple(means), tuple(m2s))
 
 
-def variance_estimate(state: AllocationState, a: int, eta: float) -> float:
+def _variance_estimate(state: AllocationState, a: int, eta: float) -> float:
     """Floored population variance estimate for arm a.
 
     Returns m2(a)/n(a) when the arm has observations and the estimate is
@@ -131,8 +131,8 @@ def allocation_probability(state: AllocationState, policy: Policy) -> float:
     AIPW/IPW estimators use on their rounds.
     """
     if isinstance(policy, AdaptiveNeyman):
-        s1 = math.sqrt(variance_estimate(state, 1, policy.eta))
-        s2 = math.sqrt(variance_estimate(state, 2, policy.eta))
+        s1 = math.sqrt(_variance_estimate(state, 1, policy.eta))
+        s2 = math.sqrt(_variance_estimate(state, 2, policy.eta))
         w = s1 / (s1 + s2)
         return min(max(w, policy.w_min), 1.0 - policy.w_min)
     if isinstance(policy, OracleNeyman):

@@ -13,19 +13,10 @@ costs a fraction of a new generator and draws exactly the same values.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable
 
 import numpy as np
-
-_MASK64 = (1 << 64) - 1
-
-
-def _key(seed: int, stream: int) -> list[int]:
-    return [seed & _MASK64, stream & _MASK64]
-
-
-def _philox(seed: int, stream: int) -> np.random.Philox:
-    return np.random.Philox(key=np.array(_key(seed, stream), dtype=np.uint64))
 
 
 def spawn(seed: int, stream: int = 0) -> np.random.Generator:
@@ -34,9 +25,15 @@ def spawn(seed: int, stream: int = 0) -> np.random.Generator:
     Equal (seed, stream) pairs yield identical sequences; distinct pairs
     yield statistically independent ones (distinct Philox keys). Batch
     draws and repeated scalar draws from the same stream produce the same
-    sequence, which the engine relies on.
+    sequence, which the engine relies on. seed and stream are the two
+    64-bit words of the key: a value outside [0, 2^64) raises a ValueError
+    naming it rather than wrapping onto another key.
     """
-    return np.random.Generator(_philox(seed, stream))
+    for name, value in (("seed", seed), ("stream", stream)):
+        if not 0 <= operator.index(value) < 1 << 64:
+            raise ValueError(f"{name} must lie in [0, 2^64), got {value}")
+    key = np.array([seed, stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def restarter(gen: np.random.Generator, seed: int) -> Callable[[int], None]:
@@ -47,9 +44,10 @@ def restarter(gen: np.random.Generator, seed: int) -> Callable[[int], None]:
     counter and an empty output buffer replaces building a fresh generator,
     which costs several times more. The state is built once here and each
     call changes only its stream word. A re-keyer owns its state, so give
-    each thread its own generator and re-keyer.
+    each thread its own generator and re-keyer. A seed or stream outside
+    [0, 2^64) makes rekey raise OverflowError from numpy's state setter.
     """
-    key = _key(seed, 0)
+    key = [seed, 0]
     state = {
         "bit_generator": "Philox",
         "state": {"counter": [0, 0, 0, 0], "key": key},
@@ -61,7 +59,7 @@ def restarter(gen: np.random.Generator, seed: int) -> Callable[[int], None]:
     bit_generator = gen.bit_generator
 
     def rekey(stream: int) -> None:
-        key[1] = stream & _MASK64
+        key[1] = stream
         bit_generator.state = state
 
     return rekey

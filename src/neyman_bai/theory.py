@@ -2,8 +2,8 @@
 
 Everything here is analytic except check_transportation, which backs the
 change-of-measure inequality with Monte Carlo event frequencies from the
-engine. Probability bounds are clipped at 1; the raw exponent is exposed
-separately so exponent-level identities can be tested without the clip.
+engine. Probability bounds are clipped at 1; the private raw exponent,
+_misid_exponent, lets exponent-level identities be tested without the clip.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ def minimax_lower_bound_constant(sigma1: float, sigma2: float) -> float:
     return (sigma1 + sigma2) * math.exp(-0.5)
 
 
-def misid_exponent(sigma1: float, sigma2: float, gap: float, T: int) -> float:
+def _misid_exponent(sigma1: float, sigma2: float, gap: float, T: int) -> float:
     """Raw exponent T*gap^2 / (2*(sigma1+sigma2)^2), before any clipping."""
     _require_sigmas(sigma1, sigma2)
     if gap < 0.0:
@@ -54,7 +54,7 @@ def misid_upper_bound(sigma1: float, sigma2: float, gap: float, T: int) -> float
     Holds for the Neyman allocation on Gaussian arms; clipped at 1 so the
     result is always a probability.
     """
-    return min(1.0, math.exp(-misid_exponent(sigma1, sigma2, gap, T)))
+    return min(1.0, math.exp(-_misid_exponent(sigma1, sigma2, gap, T)))
 
 
 def regret_upper_bound_curve(sigma1: float, sigma2: float, T: int, gap: float) -> float:

@@ -81,6 +81,18 @@ class TestMarginalConstruction:
 
 
 class TestDraws:
+    def test_pinned_draws(self):
+        """Marginal.draw's outcomes on stream (42, 0), pinned at version 0.10.1."""
+        gaussian = Marginal.gaussian(0.3, 2.5).draw(spawn(42, 0), 5)
+        np.testing.assert_array_equal(
+            gaussian,
+            [0.8337473222999738, -0.9366932358525004, -0.19967971623561998,
+             -3.022313163802142, 1.2727024806612404],
+        )
+        bernoulli = Marginal.bernoulli(0.52).draw(spawn(42, 0), 5)
+        np.testing.assert_array_equal(bernoulli, [0.0, 1.0, 0.0, 1.0, 1.0])
+        assert gaussian.dtype == bernoulli.dtype == np.float64
+
     def test_gaussian_moments(self):
         m = Marginal.gaussian(0.7, 4.0)
         x = m.draw(spawn(42, 0), 1_000_000)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import neyman_bai.engine as eng
-from neyman_bai.distributions import Instance, Marginal
+from neyman_bai.distributions import Family, Instance, Marginal
 from neyman_bai.engine import (
     DEFAULT_GRID,
     MCReport,
@@ -297,21 +297,20 @@ class TestStreamIdentity:
     def _assert_fresh_streams(cfg, lo, tables, columns=None):
         """Columns (default: all) equal fresh streams; arm 1 only up to a block schedule's cut.
 
-        The arms hold standard draws, which to_outcomes maps to outcomes.
+        The tables hold standard draws: normals for a Gaussian arm, uniforms
+        for a Bernoulli arm and for the selection.
         """
         inst, seed, T = cfg.instance, cfg.seed, cfg.T
         cut = block_cut(cfg.policy, T)
-        m = T if cut is None else cut
+        lengths = (T if cut is None else cut, T, T)
+        methods = [
+            "standard_normal" if arm.family is Family.GAUSSIAN else "random"
+            for arm in (inst.arm1, inst.arm2)
+        ] + ["random"]
         for j in range(tables.shape[2]) if columns is None else columns:
-            i = lo + j
-            y1 = tables[0][:m, j].copy()
-            inst.arm1.to_outcomes(y1)
-            assert y1.tobytes() == inst.arm1.draw(spawn(seed, 4 * i), m).tobytes()
-            y2 = tables[1][:, j].copy()
-            inst.arm2.to_outcomes(y2)
-            assert y2.tobytes() == inst.arm2.draw(spawn(seed, 4 * i + 1), T).tobytes()
-            if len(tables) == 3:
-                assert tables[2][:, j].tobytes() == spawn(seed, 4 * i + 2).random(T).tobytes()
+            for k, (table, n, method) in enumerate(zip(tables, lengths, methods)):
+                draws = getattr(spawn(seed, 4 * (lo + j) + k), method)(n)
+                assert table[:n, j].tobytes() == draws.tobytes(), (j, k)
 
     @pytest.mark.parametrize("inst", [GAUSS, BERN], ids=["gaussian", "bernoulli"])
     @pytest.mark.parametrize("policy", [AdaptiveNeyman(), Uniform()], ids=["adaptive", "block"])
@@ -659,7 +658,7 @@ class TestReplicationArgument:
 
     @pytest.mark.parametrize("replication", [-1, 2**62], ids=["negative", "2^62"])
     def test_out_of_range_rejected(self, replication):
-        """Stream keys 4i + k keep 64 bits, so -1 would alias 2**62 - 1."""
+        """Stream keys 4i + k lie in [0, 2^64); the error names the replication, not a stream."""
         with pytest.raises(ValueError, match=r"replication must lie in \[0, 2\^62\)"):
             run_trial(self.CFG, replication)
 

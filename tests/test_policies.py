@@ -17,8 +17,8 @@ from neyman_bai.policies import (
     block_cut,
     policy_from_config,
     policy_to_config,
+    _variance_estimate,
     update,
-    variance_estimate,
 )
 from neyman_bai.rng import spawn
 
@@ -55,7 +55,7 @@ class TestAllocationState:
         s = _feed(values)
         arr = np.asarray(values)
         assert s.means[0] == pytest.approx(arr.mean(), rel=1e-10, abs=1e-10)
-        v = variance_estimate(s, 1, eta=1e-3)
+        v = _variance_estimate(s, 1, eta=1e-3)
         if len(set(values)) == 1:
             # Welford leaves m2 at exactly 0, so the floor applies, while
             # numpy's two-pass var may return a rounding residue above 0.
@@ -68,20 +68,20 @@ class TestAllocationState:
 
 class TestVarianceEstimate:
     def test_unseen_arm_falls_back_to_eta(self):
-        assert variance_estimate(AllocationState(), 1, eta=1e-3) == 1e-3
+        assert _variance_estimate(AllocationState(), 1, eta=1e-3) == 1e-3
 
     def test_single_observation_falls_back_to_eta(self):
         s = _feed([5.0])
-        assert variance_estimate(s, 1, eta=0.25) == 0.25
+        assert _variance_estimate(s, 1, eta=0.25) == 0.25
 
     def test_constant_observations_fall_back_to_eta(self):
         s = _feed([2.0, 2.0, 2.0])
-        assert variance_estimate(s, 1, eta=1e-3) == 1e-3
+        assert _variance_estimate(s, 1, eta=1e-3) == 1e-3
 
     def test_population_variance_once_positive(self):
         # observations 1, 3: mean 2, squared deviations 1 and 1, m2 = 2
         s = _feed([1.0, 3.0])
-        assert variance_estimate(s, 1, eta=1e-3) == 1.0
+        assert _variance_estimate(s, 1, eta=1e-3) == 1.0
 
 
 class TestAdaptivePolicy:

@@ -55,10 +55,14 @@ def test_batch_equals_sequential_scalar_draws():
     np.testing.assert_array_equal([gen.standard_normal() for _ in range(16)], batch_n)
 
 
-def test_large_seed_and_stream_are_masked_consistently():
-    big = 2**64 + 5
-    np.testing.assert_array_equal(spawn(big, 0).random(4), spawn(5, 0).random(4))
-    np.testing.assert_array_equal(spawn(0, big).random(4), spawn(0, 5).random(4))
+@pytest.mark.parametrize("word", [-1, 2**64, 2**64 + 5])
+def test_key_words_outside_64_bits_are_rejected(word):
+    """Neither word wraps onto another key: spawn(2**64 + 5) is not spawn(5)."""
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^64\)"):
+        spawn(word, 0)
+    with pytest.raises(ValueError, match=r"stream must lie in \[0, 2\^64\)"):
+        spawn(0, word)
+    spawn(2**64 - 1, 2**64 - 1)  # the largest words are keys
 
 
 # The engine's normals and uniforms, and uint32 draws, which can leave half
@@ -81,10 +85,10 @@ def test_rekey_matches_fresh_spawn(draw):
     np.testing.assert_array_equal(draw(gen, 9), draw(spawn(42, 9), 9))
 
 
-def test_rekey_masks_like_spawn():
-    gen = spawn(1, 0)
-    restarter(gen, 2**64 + 5)(2**64 + 3)
-    np.testing.assert_array_equal(gen.random(4), spawn(5, 3).random(4))
+@pytest.mark.parametrize("seed, stream", [(2**64 + 5, 3), (5, 2**64 + 3), (-1, 3), (5, -1)])
+def test_rekey_rejects_key_words_outside_64_bits(seed, stream):
+    with pytest.raises(OverflowError):
+        restarter(spawn(1, 0), seed)(stream)
 
 
 WORDS = st.integers(0, 2**64 - 1)

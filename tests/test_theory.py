@@ -11,10 +11,10 @@ from neyman_bai.distributions import Instance, Marginal, kl_divergence, lower_bo
 from neyman_bai.engine import TrialConfig, replicate, sweep_worst_case
 from neyman_bai.policies import AdaptiveNeyman, OracleNeyman, Uniform
 from neyman_bai.theory import (
+    _misid_exponent,
     binary_relative_entropy,
     check_transportation,
     minimax_lower_bound_constant,
-    misid_exponent,
     misid_upper_bound,
     regret_upper_bound_curve,
     worst_case_gap,
@@ -50,11 +50,11 @@ class TestMisidBound:
 
     def test_exponent_formula(self):
         # T * gap^2 / (2 (s1+s2)^2) with easy numbers: 800 * 0.25 / 18
-        assert misid_exponent(1.0, 2.0, 0.5, 800) == pytest.approx(200.0 / 18.0, rel=1e-15)
+        assert _misid_exponent(1.0, 2.0, 0.5, 800) == pytest.approx(200.0 / 18.0, rel=1e-15)
 
     def test_doubling_the_budget_doubles_the_exponent_bitwise(self):
-        e1 = misid_exponent(0.7, 1.3, 0.21, 500)
-        e2 = misid_exponent(0.7, 1.3, 0.21, 1000)
+        e1 = _misid_exponent(0.7, 1.3, 0.21, 500)
+        e2 = _misid_exponent(0.7, 1.3, 0.21, 1000)
         assert e2 == 2.0 * e1
 
     def test_doubling_the_budget_squares_the_bound(self):
@@ -67,7 +67,7 @@ class TestMisidBound:
             b = misid_upper_bound(1.0, 1.0, gap, 2000)
             assert b < 1.0
             assert -math.log(b) == pytest.approx(
-                misid_exponent(1.0, 1.0, gap, 2000), rel=1e-12
+                _misid_exponent(1.0, 1.0, gap, 2000), rel=1e-12
             )
 
     def test_bound_is_clipped_at_one(self):

@@ -28,8 +28,9 @@ sides alike. One measurement covers:
   7's pair, uniform allocation, T = 50, R = 20,000, threads 1, as the
   median wall and CPU time of five operations (one operation takes about
   0.1 s, too short to time once) and cells per second over both models;
-- verify check 7 (`check_transportation_inequality`, R = 100,000) at
-  threads 1, as wall and CPU time, with its PASS flag and detail line;
+- the nine verify checks (`verification.run_all(42, threads=1)`), each as
+  wall time, PASS flag and detail line, next to the wall and CPU time of
+  the whole run;
 - the line count of src/ and the size of neyman_bai.__all__.
 
 Each fill figure and kernel width is the median of OPERATIONS (5)
@@ -187,11 +188,11 @@ def measure() -> dict:
     )) for _ in range(TRANSPORT["operations"])])
     transport["cells_per_s"] = 2 * TRANSPORT["R"] * T / transport["wall_s"]
 
-    c, t = time.process_time(), time.perf_counter()
-    result = verification.check_transportation_inequality(42, threads=1)
-    check7 = {
-        "wall_s": time.perf_counter() - t, "cpu_s": time.process_time() - c,
-        "passed": int(result.passed), "detail": result.detail,
+    results = []
+    verify = _timed(lambda: results.extend(verification.run_all(42, threads=1)))
+    verify["checks"] = {
+        r.name: {"wall_s": r.seconds, "passed": int(r.passed), "detail": r.detail}
+        for r in results
     }
 
     src = Path(neyman_bai.__file__).resolve().parent
@@ -202,7 +203,7 @@ def measure() -> dict:
         "replicate_adaptive_aipw_threads": scaling,
         "sweep_adaptive_2t": sweep,
         "transport_short": transport,
-        "verify_check7_threads1": check7,
+        "verify_threads1": verify,
         "src_lines": lines,
         "all_size": len(neyman_bai.__all__),
     }
