@@ -13,9 +13,11 @@ command needs and where the seed came from; other rules are the library's.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 I/O error. Any input the library rejects with a ValueError exits 2 with
-the library's message, for example --reps 0, --threads 0, or a Monte
-Carlo run whose sample-mean estimator never observes an arm in some
-replication (possible at small budgets), which has no defined result.
+the library's message, for example --reps 0, --threads 0, a block policy
+(oracle_neyman, uniform) with aipw, the default, or ipw (both need
+randomized allocation), or a Monte Carlo run whose sample-mean estimator
+never observes an arm in some replication (possible at small budgets),
+which has no defined result.
 """
 
 from __future__ import annotations

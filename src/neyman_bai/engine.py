@@ -127,6 +127,13 @@ class TrialConfig:
             raise ValueError(
                 f"unknown estimator {self.estimator!r} (expected one of {ESTIMATOR_KINDS})"
             )
+        if self.estimator != "sample_mean" and not isinstance(self.policy, AdaptiveNeyman):
+            # A block schedule plays each arm with probability 1 or 0: no
+            # propensity to weight by, so IPW and AIPW are undefined.
+            raise ValueError(
+                f"estimator {self.estimator!r} needs randomized allocation, but policy "
+                f"{type(self.policy).__name__} plays a fixed block schedule; use 'sample_mean'"
+            )
 
 
 @dataclass(frozen=True)
@@ -389,46 +396,23 @@ def _kernel_adaptive(policy: AdaptiveNeyman, estimator: str, arm1, arm2, t0: int
     return acc1, acc2, n1, n2, mean1, mean2, m2_1, m2_2
 
 
-def _kernel_block(cut: int, w_target: float, estimator: str, arm1, arm2, t0: int, tables, state):
+def _kernel_block(cut: int, arm1, arm2, t0: int, tables, state):
     """Block-schedule rounds t0.. (oracle Neyman / uniform), vectorized.
 
-    Arm 1 owns rounds 0..cut-1, arm 2 the rest; counts are deterministic.
+    Arm 1 owns rounds 0..cut-1, arm 2 the rest; counts are deterministic,
+    and the sample mean is the only estimator TrialConfig admits here.
     Accumulation order over t matches the scalar path exactly. tables,
     arm1 and arm2 are as in _kernel_adaptive, without the uniforms; state
-    carries the (G, B) sums (acc1, acc2, mean1, mean2) across blocks.
+    carries the (G, B) outcome sums (acc1, acc2) across blocks.
     """
     z1, z2 = tables
-    aipw = estimator == "aipw"
-    ipw = estimator == "ipw"
-    w1 = w_target
-    w2 = 1.0 - w_target
-    acc1, acc2, mean1, mean2 = state
-
+    acc1, acc2 = state
     for t in range(t0, t0 + len(z1)):
         if t < cut:
-            y = arm1(z1[t - t0])
-            if aipw:
-                # acc2 would gain mu_tilde(2) == 0.0 on these rounds; skipped.
-                acc1 += (y - mean1) / w1 + mean1
-                d = y - mean1
-                mean1 = mean1 + d / (t + 1)
-            elif ipw:
-                acc1 += y / w1
-            else:
-                acc1 += y
+            acc1 += arm1(z1[t - t0])
         else:
-            y = arm2(z2[t - t0])
-            if aipw:
-                acc1 += mean1
-                acc2 += (y - mean2) / w2 + mean2
-                d = y - mean2
-                mean2 = mean2 + d / (t - cut + 1)
-            elif ipw:
-                acc2 += y / w2
-            else:
-                acc2 += y
-
-    return acc1, acc2, mean1, mean2
+            acc2 += arm2(z2[t - t0])
+    return acc1, acc2
 
 
 def _layout(R: int, T: int) -> tuple[int, int]:
@@ -520,9 +504,8 @@ def replicate(
         cut = None
     else:
         cut = block_cut(cfg.policy, cfg.T)
-        w_target = allocation_probability(AllocationState(), cfg.policy)
-        kernel = partial(_kernel_block, cut, w_target, cfg.estimator, arm1, arm2)
-        sums = 4
+        kernel = partial(_kernel_block, cut, arm1, arm2)
+        sums = 2
 
     rows, rounds = _layout(R, cfg.T)
     with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:

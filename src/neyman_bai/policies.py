@@ -127,8 +127,7 @@ def allocation_probability(state: AllocationState, policy: Policy) -> float:
     [w_min, 1-w_min]: exactly 1/2 in round 1, with both arms on the floor
     eta (s/(s+s), which the clamp keeps as w_min <= 1/2). The block
     policies are deterministic; for them this reports the target fraction
-    (w*(1) for the oracle, 1/2 for uniform), which is also the weight the
-    AIPW/IPW estimators use on their rounds.
+    (w*(1) for the oracle, 1/2 for uniform).
     """
     if isinstance(policy, AdaptiveNeyman):
         s1 = math.sqrt(_variance_estimate(state, 1, policy.eta))

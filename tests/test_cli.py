@@ -255,6 +255,7 @@ class TestConfigErrors:
             "instance": RUN_CONFIG["instance"],
             "budgets": [20, 40.0],
             "policy": {"kind": "uniform"},
+            "estimator": "sample_mean",
             "R": 5,
         }
         cfg = _write_config(tmp_path, doc)
@@ -300,7 +301,7 @@ def test_starved_arm_is_a_config_error(tmp_path, command, doc):
     [
         ("run", json.dumps(RUN_CONFIG).replace("[0.5, 0.0]", "[NaN, 0.0]"), "NaN"),
         ("sweep", '{"sigmas": [1.0, 1.0], "T": 100, "policy": {"kind": "uniform"}, '
-                  '"R": 10, "grid": [Infinity]}', "Infinity"),
+                  '"estimator": "sample_mean", "R": 10, "grid": [Infinity]}', "Infinity"),
         ("bounds", '{"sigmas": [NaN, 1.0], "T": 100}', "NaN"),
         ("bounds", '{"sigmas": [1.0, -Infinity], "T": 100}', "-Infinity"),
         ("bounds", '{"sigmas": [1.0, 1.0], "T": 100, "grid": [0.5, 1e999]}', "1e999"),
@@ -329,7 +330,8 @@ def test_non_finite_number_is_a_config_error(tmp_path, command, text, literal):
          "instance/variances/0"),
         ("run", {**RUN_CONFIG, "instance": {**RUN_CONFIG["instance"], "means": [0.0, -1e101]}},
          "instance/means/1"),
-        ("sweep", {"sigmas": [1.0, 1e60], "T": 100, "policy": {"kind": "uniform"}, "R": 10},
+        ("sweep", {"sigmas": [1.0, 1e60], "T": 100, "policy": {"kind": "uniform"},
+                   "estimator": "sample_mean", "R": 10},
          "sigmas/1"),
     ],
     ids=["variance", "mean", "sigma"],
@@ -377,9 +379,10 @@ def _cli_process(argv):
 
 SMALL_CONFIGS = {
     "run": {**RUN_CONFIG, "R": 5},
-    "sweep": {"sigmas": [1.0, 2.0], "T": 20, "policy": {"kind": "uniform"}, "R": 5},
+    "sweep": {"sigmas": [1.0, 2.0], "T": 20, "policy": {"kind": "uniform"},
+              "estimator": "sample_mean", "R": 5},
     "consistency": {"instance": RUN_CONFIG["instance"], "budgets": [10, 20],
-                    "policy": {"kind": "uniform"}, "R": 5},
+                    "policy": {"kind": "uniform"}, "estimator": "sample_mean", "R": 5},
 }
 
 
@@ -401,6 +404,29 @@ def test_library_rejection_exits_two(tmp_path, command, flag, message):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert f"error: {message}, got 0" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command, policy",
+    [
+        (command, policy)
+        for command in ("run", "sweep", "consistency")
+        for policy in ({"kind": "uniform"}, {"kind": "oracle_neyman"})
+    ],
+)
+def test_block_policy_with_the_default_estimator_exits_two(tmp_path, command, policy):
+    """With no estimator key the CLI asks for aipw, which a block schedule cannot weight."""
+    doc = {**SMALL_CONFIGS[command], "policy": policy}
+    doc.pop("estimator")
+    proc = _cli_process([command, "--config", _write_config(tmp_path, doc)])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    name = {"uniform": "Uniform", "oracle_neyman": "OracleNeyman"}[policy["kind"]]
+    assert (
+        f"error: estimator 'aipw' needs randomized allocation, but policy {name} "
+        "plays a fixed block schedule; use 'sample_mean'\n"
+    ) in proc.stderr
 
 
 def test_config_that_is_not_utf8_names_its_path(tmp_path, capsys):

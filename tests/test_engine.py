@@ -46,8 +46,15 @@ def _scalar_replications(cfg, R):
 
 
 def _starved_message(cfg, R):
-    """replicate's sample-mean error for cfg, from the scalar path's counts."""
-    counts = [run_trial(replace(cfg, estimator="aipw"), i).counts for i in range(R)]
+    """replicate's sample-mean error for cfg, from the scalar path's counts.
+
+    A block schedule's counts are the same in every replication.
+    """
+    cut = block_cut(cfg.policy, cfg.T)
+    if cut is None:
+        counts = [run_trial(replace(cfg, estimator="aipw"), i).counts for i in range(R)]
+    else:
+        counts = [(cut, cfg.T - cut)] * R
     for arm in (1, 2):
         starved = [i for i, c in enumerate(counts) if c[arm - 1] == 0]
         if starved:
@@ -67,17 +74,25 @@ def _force_layout(monkeypatch, rows, cells):
 
 
 def _combos(inst):
+    """Every policy/estimator pair TrialConfig admits; block policies take sample means only."""
     out = []
     for est in ("aipw", "ipw", "sample_mean"):
         out.append((AdaptiveNeyman(eta=0.2), est))
     # default eta starves sample_mean at this budget, covered separately
     for est in ("aipw", "ipw"):
         out.append((AdaptiveNeyman(), est))
-    oracle = OracleNeyman(inst.arm1.sd, inst.arm2.sd)
-    for est in ("aipw", "ipw", "sample_mean"):
-        out.append((oracle, est))
-        out.append((Uniform(), est))
+    out.append((OracleNeyman(inst.arm1.sd, inst.arm2.sd), "sample_mean"))
+    out.append((Uniform(), "sample_mean"))
     return out
+
+
+# (policy, estimator) pairs of the sweep tests: every pair TrialConfig admits.
+SWEEP_PAIRS = [
+    *(pytest.param(AdaptiveNeyman(eta=0.2), est, id=f"adaptive-{est}")
+      for est in ("aipw", "ipw", "sample_mean")),
+    pytest.param(OracleNeyman(1.0, 2.0), "sample_mean", id="oracle-sample_mean"),
+    pytest.param(Uniform(), "sample_mean", id="uniform-sample_mean"),
+]
 
 
 class TestScalarVectorizedAgreement:
@@ -121,7 +136,7 @@ class TestOracleStreams:
         ids=["adaptive", "uniform", "oracle"],
     )
     def test_records_come_from_the_replications_streams(self, policy):
-        cfg = TrialConfig(GAUSS, 25, policy, "aipw", seed=11)
+        cfg = TrialConfig(GAUSS, 25, policy, "sample_mean", seed=11)
         i = 3
         records, _ = run_trial_records(cfg, i)
         y1 = GAUSS.arm1.draw(spawn(cfg.seed, 4 * i), cfg.T)
@@ -315,7 +330,7 @@ class TestStreamIdentity:
     @pytest.mark.parametrize("inst", [GAUSS, BERN], ids=["gaussian", "bernoulli"])
     @pytest.mark.parametrize("policy", [AdaptiveNeyman(), Uniform()], ids=["adaptive", "block"])
     def test_rows_equal_fresh_spawn_streams(self, inst, policy):
-        cfg = TrialConfig(inst, 30, policy, "aipw", seed=77)
+        cfg = TrialConfig(inst, 30, policy, "sample_mean", seed=77)
         ((t0, tables),) = eng._blocks(cfg, 5, 9, cfg.T)
         assert t0 == 0
         assert len(tables) == (3 if isinstance(policy, AdaptiveNeyman) else 2)
@@ -330,7 +345,7 @@ class TestStreamIdentity:
         starts at replication 2^61, each in bands of _BAND = 128 rows.
         """
         assert eng._BAND == 128
-        cfg = TrialConfig(inst, 12, policy, "aipw", seed=77)
+        cfg = TrialConfig(inst, 12, policy, "sample_mean", seed=77)
         lo = 2**61
         with ThreadPoolExecutor(2) as pool:
             ((_, tables),) = eng._blocks(cfg, lo, lo + 300, cfg.T, 2, pool)
@@ -349,7 +364,7 @@ class TestStreamIdentity:
         at round 15 falls inside the third block, and arm 1 is not drawn in
         the last two.
         """
-        cfg = TrialConfig(inst, 30, policy, "aipw", seed=77)
+        cfg = TrialConfig(inst, 30, policy, "sample_mean", seed=77)
         lo = 2**61
         with ThreadPoolExecutor(threads) as pool:
             blocks = [(t0, b.copy()) for t0, b in eng._blocks(cfg, lo, lo + 300, 7, threads, pool)]
@@ -358,16 +373,17 @@ class TestStreamIdentity:
         edges = [0, 99, 100, 127, 128, 149, 150, 199, 200, 299]
         self._assert_fresh_streams(cfg, lo, tables, edges)
 
-    # SHA-256 of n1 (<i8) then mu_hat (<f8) for R = 50, computed before
-    # streams were opened by re-keying one generator per chunk.
+    # SHA-256 of n1 (<i8) then mu_hat (<f8) for R = 50. The adaptive digest
+    # was computed before streams were opened by re-keying one generator per
+    # chunk, the block one at 0.11.0, whose block kernel also ran AIPW and IPW.
     PINNED = {
         "adaptive": (
             TrialConfig(GAUSS, 40, AdaptiveNeyman(), "aipw", seed=2024),
             "67a3704ec213e9bad2c888b16c956e697ac853456c16995c8dd60410a690c534",
         ),
         "block": (
-            TrialConfig(BERN, 41, OracleNeyman(1.0, 2.0), "ipw", seed=2024),
-            "2e462aff267ec85f590942213437352775db4e1860aa50f7384bf3fe63bdae23",
+            TrialConfig(BERN, 41, OracleNeyman(1.0, 2.0), "sample_mean", seed=2024),
+            "a64bd963eea01e0e4e8f70dbc0e75f281bc901f1e6bfd1dc98b0d747aca33f10",
         ),
     }
 
@@ -453,11 +469,7 @@ class TestSweep:
     TestBlockBoundaries, so the points share several chunks and blocks.
     """
 
-    @pytest.mark.parametrize("est", ["aipw", "ipw", "sample_mean"])
-    @pytest.mark.parametrize(
-        "policy", [AdaptiveNeyman(eta=0.2), OracleNeyman(1.0, 2.0), Uniform()],
-        ids=["adaptive", "oracle", "uniform"],
-    )
+    @pytest.mark.parametrize("policy, est", SWEEP_PAIRS)
     def test_points_equal_separate_replicate_calls(self, policy, est, monkeypatch):
         R, T, grid = 13, 37, (0.25, 1.0, 3.0)
         _force_layout(monkeypatch, 5, 35)
@@ -507,11 +519,7 @@ class TestSweep:
             assert str(err.value) == errors[1]
 
     @pytest.mark.parametrize("family", ["gaussian", "bernoulli"])
-    @pytest.mark.parametrize("est", ["aipw", "ipw", "sample_mean"])
-    @pytest.mark.parametrize(
-        "policy", [AdaptiveNeyman(eta=0.2), OracleNeyman(1.0, 2.0), Uniform()],
-        ids=["adaptive", "oracle", "uniform"],
-    )
+    @pytest.mark.parametrize("policy, est", SWEEP_PAIRS)
     def test_points_differing_in_both_arms_equal_separate_calls(
         self, policy, est, family, monkeypatch
     ):
@@ -546,7 +554,7 @@ class TestSweep:
                     assert np.array_equal(got, getattr(want, field)), (g, threads, field)
 
     def test_instances_are_checked(self):
-        cfg = TrialConfig(GAUSS, 20, Uniform(), "aipw", seed=1)
+        cfg = TrialConfig(GAUSS, 20, Uniform(), "sample_mean", seed=1)
         with pytest.raises(ValueError, match="instances must be non-empty"):
             replicate(cfg, 5, instances=[])
         mixed = Instance(Marginal.gaussian(0.0, 1.0), Marginal.bernoulli(0.5))
@@ -558,7 +566,7 @@ class TestSweep:
             replicate(cfg, 5, instances=[(0.3, 0.0)])
 
     def test_grid_layout_and_gaps(self):
-        res = sweep_worst_case((1.0, 2.0), 100, Uniform(), "aipw", R=50, seed=9)
+        res = sweep_worst_case((1.0, 2.0), 100, Uniform(), "sample_mean", R=50, seed=9)
         assert res.sigmas == (1.0, 2.0)
         assert res.T == 100
         assert len(res.points) == len(DEFAULT_GRID)
@@ -570,19 +578,20 @@ class TestSweep:
 
     def test_max_point_prefers_first_on_ties(self):
         def point(x, sr):
-            cfg = TrialConfig(GAUSS, 100, Uniform(), "aipw")
+            cfg = TrialConfig(GAUSS, 100, Uniform(), "sample_mean")
             return SweepPoint(x, cfg, MCReport(1, 0.0, 0.0, 0.0, 0.0, sr, 0.5))
 
         pts = (point(0.5, 1.0), point(1.0, 2.0), point(1.5, 2.0))
         assert SweepResult((1.0, 1.0), 100, pts).max_point is pts[1]
 
     def test_rejects_bad_inputs(self):
+        est = "sample_mean"
         with pytest.raises(ValueError, match="deviations must be positive"):
-            sweep_worst_case((0.0, 1.0), 100, Uniform(), "aipw", R=5, seed=0)
+            sweep_worst_case((0.0, 1.0), 100, Uniform(), est, R=5, seed=0)
         with pytest.raises(ValueError, match="non-empty"):
-            sweep_worst_case((1.0, 1.0), 100, Uniform(), "aipw", R=5, seed=0, grid=())
+            sweep_worst_case((1.0, 1.0), 100, Uniform(), est, R=5, seed=0, grid=())
         with pytest.raises(ValueError, match="positive"):
-            sweep_worst_case((1.0, 1.0), 100, Uniform(), "aipw", R=5, seed=0, grid=(0.5, -1.0))
+            sweep_worst_case((1.0, 1.0), 100, Uniform(), est, R=5, seed=0, grid=(0.5, -1.0))
 
     def test_grid_point_beyond_the_mean_limit_is_named(self):
         # gap = 1e300 * 2 / 10 = 2e299 lies beyond Marginal's 1e100 limit
@@ -595,7 +604,7 @@ class TestSweep:
     def test_variance_beyond_the_limit_names_the_sigmas(self):
         # sigma1^2 = 1e120 fails at every grid point, so no point is blamed
         with pytest.raises(ValueError, match=r"^sweep sigmas \(1e\+60, 1\.0\): variance") as info:
-            sweep_worst_case((1e60, 1.0), 100, Uniform(), "aipw", R=5, seed=0)
+            sweep_worst_case((1e60, 1.0), 100, Uniform(), "sample_mean", R=5, seed=0)
         assert "grid point" not in str(info.value)
         assert isinstance(info.value.__cause__, ValueError)
 
@@ -622,20 +631,28 @@ class TestConsistencyCurve:
 class TestTrialConfigValidation:
     def test_budget_must_cover_both_arms(self):
         with pytest.raises(ValueError, match="T"):
-            TrialConfig(GAUSS, 1, Uniform(), "aipw")
+            TrialConfig(GAUSS, 1, Uniform(), "sample_mean")
 
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ValueError, match="estimator"):
             TrialConfig(GAUSS, 10, Uniform(), "winsorized")
 
+    @pytest.mark.parametrize("est", ["aipw", "ipw"])
+    @pytest.mark.parametrize("policy", [Uniform(), OracleNeyman(1.0, 2.0)], ids=["uniform", "oracle"])
+    def test_weighted_estimator_with_block_policy_rejected(self, policy, est):
+        """A block schedule's propensities are 1 and 0, so IPW and AIPW are undefined."""
+        name = type(policy).__name__
+        with pytest.raises(ValueError, match=f"^estimator '{est}' .* policy {name} .*'sample_mean'$"):
+            TrialConfig(GAUSS, 10, policy, est)
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_rejected(self, seed):
         """The stream key keeps 64 bits, so seed -1 would run seed 2**64-1."""
         with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^64\)"):
-            TrialConfig(GAUSS, 10, Uniform(), "aipw", seed=seed)
+            TrialConfig(GAUSS, 10, Uniform(), "sample_mean", seed=seed)
 
     def test_largest_seed_accepted(self):
-        TrialConfig(GAUSS, 10, Uniform(), "aipw", seed=2**64 - 1)
+        TrialConfig(GAUSS, 10, Uniform(), "sample_mean", seed=2**64 - 1)
 
     @pytest.mark.parametrize(
         "field, kwargs",
@@ -648,13 +665,13 @@ class TestTrialConfigValidation:
         ],
     )
     def test_non_integer_rejected(self, field, kwargs):
-        cfg = {"instance": GAUSS, "T": 10, "policy": Uniform(), **kwargs}
+        cfg = {"instance": GAUSS, "T": 10, "policy": Uniform(), "estimator": "sample_mean", **kwargs}
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             TrialConfig(**cfg)
 
 
 class TestReplicationArgument:
-    CFG = TrialConfig(GAUSS, 10, Uniform(), "aipw", seed=5)
+    CFG = TrialConfig(GAUSS, 10, Uniform(), "sample_mean", seed=5)
 
     @pytest.mark.parametrize("replication", [-1, 2**62], ids=["negative", "2^62"])
     def test_out_of_range_rejected(self, replication):
@@ -675,7 +692,7 @@ class TestReplicationArgument:
 
 
 class TestReplicateValidation:
-    CFG = TrialConfig(GAUSS, 10, Uniform(), "aipw")
+    CFG = TrialConfig(GAUSS, 10, Uniform(), "sample_mean")
 
     @pytest.mark.parametrize("R", [10.0, True])
     def test_non_integer_reps_rejected(self, R):

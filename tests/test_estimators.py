@@ -164,7 +164,7 @@ class TestPredictability:
 class TestMartingaleResiduals:
     def test_shape_and_unchosen_arm_entries(self):
         inst = Instance(Marginal.gaussian(0.5, 1.0), Marginal.gaussian(0.0, 1.0))
-        records, _ = run_trial_records(TrialConfig(inst, 20, Uniform(), "aipw", seed=3))
+        records, _ = run_trial_records(TrialConfig(inst, 20, Uniform(), "sample_mean", seed=3))
         z = martingale_residuals(records, inst)
         assert z.shape == (20, 2)
         for t, r in enumerate(records):

@@ -19,9 +19,11 @@ sides alike. One measurement covers:
   replicate call draws, without the kernels, per family, on one thread,
   at two shapes of whole trials (T = 2000, R = 1600 and T = 50,
   R = 20,000) and at the sweep's shape, whose trials span several blocks;
-- kernel ns/cell for the adaptive (AIPW) and the block (uniform, AIPW)
-  kernels at 400 to 16,000 rows, on one round-major block of 256 rounds
-  of Gaussian draws, one configuration;
+- kernel ns/cell for the adaptive (AIPW) and the block (uniform, sample
+  means) kernels at 400 to 16,000 rows, on one round-major block of 256
+  rounds of Gaussian draws, one configuration. BENCH_15.json and earlier
+  timed the block kernel with AIPW, which it no longer has, so its figure
+  is not comparable with theirs;
 - replicate wall and CPU time for adaptive Neyman + AIPW at R = 3200,
   T = 10^4 and threads 1, 2 and 4;
 - the benchmark's transportation check (`transport_short`): verify check
@@ -37,8 +39,8 @@ Each fill figure and kernel width is the median of OPERATIONS (5)
 operations. Under `runs`, each label holds the median of every figure
 over the repeats and the measurements of each repeat, next to the host (nproc,
 CPU model, Python and numpy versions). Labels already in the file and not
-measured again are kept. The engine must be at version 0.8.0 or later
-(kernels that map both arms per round).
+measured again are kept. The engine must be at version 0.12.0 or later
+(a block kernel that carries the two sample-mean sums only).
 """
 
 from __future__ import annotations
@@ -131,9 +133,7 @@ def _kernels(engine, width: int):
         lambda: engine._kernel_adaptive(
             policy, "aipw", *maps, 0, (z1, z2, u), np.zeros((8, 1, width))
         ),
-        lambda: engine._kernel_block(
-            cut, 0.5, "aipw", *maps, 0, (z1, z2), np.zeros((4, 1, width))
-        ),
+        lambda: engine._kernel_block(cut, *maps, 0, (z1, z2), np.zeros((2, 1, width))),
     )
 
 
@@ -165,7 +165,7 @@ def measure() -> dict:
     for name, inst in families.items():
         for T, R in FILL_SHAPES:
             policy = AdaptiveNeyman() if T > 100 else Uniform()
-            cfg = engine.TrialConfig(inst, T, policy, "aipw", 7)
+            cfg = engine.TrialConfig(inst, T, policy, "sample_mean", 7)
             s = _seconds(lambda: _fill_all(engine, cfg, R))
             fill[f"{name} T={T} R={R} {type(policy).__name__}"] = s / (R * T) * 1e9
 
@@ -244,7 +244,9 @@ def main(argv=None) -> None:
     doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     doc["host"] = _host()
     doc["setup"] = {
-        "kernel_rounds": KERNEL_ROUNDS, "kernel_estimator": "aipw", "operations": OPERATIONS,
+        "kernel_rounds": KERNEL_ROUNDS,
+        "kernel_estimator": {"adaptive": "aipw", "block": "sample_mean"},
+        "operations": OPERATIONS,
         "replicate": REPLICATE, "sweep": SWEEP, "transport": TRANSPORT,
         "order": "sides alternate which runs first from repeat to repeat",
     }
