@@ -127,7 +127,7 @@ class TrialConfig:
             raise ValueError(
                 f"unknown estimator {self.estimator!r} (expected one of {ESTIMATOR_KINDS})"
             )
-        if self.estimator != "sample_mean" and not isinstance(self.policy, AdaptiveNeyman):
+        if block_cut(self.policy, self.T) is not None and self.estimator != "sample_mean":
             # A block schedule plays each arm with probability 1 or 0: no
             # propensity to weight by, so IPW and AIPW are undefined.
             raise ValueError(
@@ -244,7 +244,7 @@ def _blocks(cfg: TrialConfig, lo: int, hi: int, rounds: int, threads: int = 1, p
     """
     B = hi - lo
     T = cfg.T
-    nstreams = 3 if isinstance(cfg.policy, AdaptiveNeyman) else 2
+    nstreams = 3 if block_cut(cfg.policy, T) is None else 2
     buf = np.empty((nstreams, rounds, B))
     parts = min(threads, B)
     edges = [B * p // parts for p in range(parts + 1)]
@@ -259,40 +259,37 @@ def _blocks(cfg: TrialConfig, lo: int, hi: int, rounds: int, threads: int = 1, p
 
 
 def simulate_rounds(
-    instance: Instance,
-    policy: Policy,
-    estimator: str,
-    y1: np.ndarray,
-    y2: np.ndarray,
-    u: np.ndarray | None,
+    cfg: TrialConfig, y1: np.ndarray, y2: np.ndarray, u: np.ndarray | None
 ) -> tuple[list[RoundRecord], TrialResult]:
-    """Reference scalar trial over explicit outcome tables.
+    """Reference scalar trial of cfg over explicit outcome tables.
 
-    The budget T is len(y2). y1[t] and y2[t] are the round-t potential
-    outcomes, y1 only for the rounds arm 1 can play (block_cut(policy, T)
-    of them under a block schedule); u[t] is the round-t selection uniform
-    (ignored by block policies). Exposed so harnesses can perturb
-    individual rounds and audit predictability: changing the round-t
-    outcome must leave w_used and mu_tilde_pre of round t intact.
+    y1[t] and y2[t] are the round-t potential outcomes for t < cfg.T, y1
+    only for the rounds arm 1 can play (block_cut(cfg.policy, cfg.T) of
+    them under a block schedule); u[t] is the round-t selection uniform
+    (unread, and may be None, under a block schedule). A block round
+    records w_used = 1.0, the propensity of its scheduled arm. Exposed so
+    harnesses can perturb individual rounds and audit predictability:
+    changing the round-t outcome must leave w_used and mu_tilde_pre of
+    round t intact.
     """
-    T = len(y2)
     state = AllocationState()
-    cut = block_cut(policy, T)
+    cut = block_cut(cfg.policy, cfg.T)
     records: list[RoundRecord] = []
-    for t in range(T):
-        w1 = allocation_probability(state, policy)
+    for t in range(cfg.T):
         if cut is None:
+            w1 = allocation_probability(state, cfg.policy)
             arm = 1 if u[t] < w1 else 2
+            w_used = w1 if arm == 1 else 1.0 - w1
         else:
             arm = 1 if t < cut else 2
+            w_used = 1.0
         y = float(y1[t] if arm == 1 else y2[t])
-        w_used = w1 if arm == 1 else 1.0 - w1
         records.append(RoundRecord(arm, y, w_used, state.means))
         state = update(state, arm, y)
 
-    mu_hat = ESTIMATORS[estimator](records)
+    mu_hat = ESTIMATORS[cfg.estimator](records)
     rec = recommend(mu_hat)
-    result = TrialResult(rec, state.counts, mu_hat, rec == best_arm(instance))
+    result = TrialResult(rec, state.counts, mu_hat, rec == best_arm(cfg.instance))
     return records, result
 
 
@@ -312,7 +309,7 @@ def run_trial_records(
     y1 = inst.arm1.draw(spawn(seed, stream), T if cut is None else cut)
     y2 = inst.arm2.draw(spawn(seed, stream + 1), T)
     u = spawn(seed, stream + 2).random(T) if cut is None else None
-    return simulate_rounds(inst, cfg.policy, cfg.estimator, y1, y2, u)
+    return simulate_rounds(cfg, y1, y2, u)
 
 
 def run_trial(cfg: TrialConfig, replication: int = 0) -> TrialResult:
@@ -498,12 +495,11 @@ def replicate(
     arm2 = _arm_outcomes([p.instance.arm2 for p in points])
     n1 = np.empty((len(points), R), dtype=np.int64)
     acc = np.empty((len(points), R, 2))
-    if isinstance(cfg.policy, AdaptiveNeyman):
+    cut = block_cut(cfg.policy, cfg.T)
+    if cut is None:
         kernel = partial(_kernel_adaptive, cfg.policy, cfg.estimator, arm1, arm2)
         sums = 8
-        cut = None
     else:
-        cut = block_cut(cfg.policy, cfg.T)
         kernel = partial(_kernel_block, cut, arm1, arm2)
         sums = 2
 

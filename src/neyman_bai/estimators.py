@@ -26,7 +26,8 @@ class RoundRecord:
 
     A trial's records are listed in round order, round t at index t - 1.
     w_used is the allocation probability of the arm actually chosen (the
-    complementary arm had 1 - w_used). mu_tilde_pre holds both running
+    complementary arm had 1 - w_used): 1.0 in a block schedule's rounds,
+    whose arm is fixed in advance. mu_tilde_pre holds both running
     means just before the round's outcome was observed; an arm with no
     observations yet contributes 0.0. Both fields depend only on rounds
     1..t-1, which the engine's construction order enforces.

@@ -120,37 +120,37 @@ def _variance_estimate(state: AllocationState, a: int, eta: float) -> float:
     return v if v > 0.0 else eta
 
 
-def allocation_probability(state: AllocationState, policy: Policy) -> float:
-    """Probability of selecting arm 1 this round.
+def allocation_probability(state: AllocationState, policy: AdaptiveNeyman) -> float:
+    """Probability that AdaptiveNeyman selects arm 1 this round.
 
-    AdaptiveNeyman returns sd_hat(1)/(sd_hat(1)+sd_hat(2)) clamped to
-    [w_min, 1-w_min]: exactly 1/2 in round 1, with both arms on the floor
-    eta (s/(s+s), which the clamp keeps as w_min <= 1/2). The block
-    policies are deterministic; for them this reports the target fraction
-    (w*(1) for the oracle, 1/2 for uniform).
+    Returns sd_hat(1)/(sd_hat(1)+sd_hat(2)) clamped to [w_min, 1-w_min]:
+    exactly 1/2 in round 1, with both arms on the floor eta (s/(s+s), which
+    the clamp keeps as w_min <= 1/2). Raises for a block policy, which
+    plays each round's arm with probability 1; block_cut gives its schedule.
     """
-    if isinstance(policy, AdaptiveNeyman):
-        s1 = math.sqrt(_variance_estimate(state, 1, policy.eta))
-        s2 = math.sqrt(_variance_estimate(state, 2, policy.eta))
-        w = s1 / (s1 + s2)
-        return min(max(w, policy.w_min), 1.0 - policy.w_min)
-    if isinstance(policy, OracleNeyman):
-        return policy.target_fraction
-    return 0.5
+    if not isinstance(policy, AdaptiveNeyman):
+        name = type(policy).__name__
+        raise ValueError(f"{name} has no allocation probability; block_cut gives its schedule")
+    s1 = math.sqrt(_variance_estimate(state, 1, policy.eta))
+    s2 = math.sqrt(_variance_estimate(state, 2, policy.eta))
+    w = s1 / (s1 + s2)
+    return min(max(w, policy.w_min), 1.0 - policy.w_min)
 
 
 def block_cut(policy: Policy, T: int) -> int | None:
     """Number of leading rounds given to arm 1 under a block schedule.
 
     Uniform plays arm 1 for rounds 1..ceil(T/2); OracleNeyman for rounds
-    1..round(T*w*(1)) with half-up rounding. Returns None for policies
-    that randomize.
+    1..round(T*w*(1)) with half-up rounding. Returns None for
+    AdaptiveNeyman, which randomizes, and raises for anything else.
     """
     if isinstance(policy, Uniform):
         return (T + 1) // 2
     if isinstance(policy, OracleNeyman):
         return int(math.floor(T * policy.target_fraction + 0.5))
-    return None
+    if isinstance(policy, AdaptiveNeyman):
+        return None
+    raise ValueError(f"policy must be AdaptiveNeyman, OracleNeyman or Uniform, got {policy!r}")
 
 
 def policy_to_config(policy: Policy) -> dict:

@@ -147,6 +147,7 @@ class TestOracleStreams:
         cut = block_cut(policy, cfg.T)
         if cut is not None:
             assert arms == [1] * cut + [2] * (cfg.T - cut)
+            assert all(rec.w_used == 1.0 for rec in records)
             return
         u = spawn(cfg.seed, 4 * i + 2).random(cfg.T)
         assert arms[0] == (1 if u[0] < 0.5 else 2)
@@ -644,6 +645,14 @@ class TestTrialConfigValidation:
         name = type(policy).__name__
         with pytest.raises(ValueError, match=f"^estimator '{est}' .* policy {name} .*'sample_mean'$"):
             TrialConfig(GAUSS, 10, policy, est)
+
+    @pytest.mark.parametrize(
+        "policy", ["uniform", None, OracleNeyman], ids=["str", "none", "class"]
+    )
+    def test_non_policy_rejected(self, policy):
+        """block_cut names the policy types, whatever the estimator."""
+        with pytest.raises(ValueError, match="^policy must be AdaptiveNeyman, OracleNeyman or"):
+            TrialConfig(GAUSS, 10, policy, "sample_mean")
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_rejected(self, seed):

@@ -119,7 +119,7 @@ class TestPredictability:
             y2_mod = y2.copy()
             y1_mod[t_hit] += 17.0
             y2_mod[t_hit] -= 9.0
-            mod_records, _ = simulate_rounds(inst, cfg.policy, cfg.estimator, y1_mod, y2_mod, u)
+            mod_records, _ = simulate_rounds(cfg, y1_mod, y2_mod, u)
             # everything strictly before the hit round is untouched
             assert mod_records[:t_hit] == records[:t_hit]
             # the hit round's predictable inputs are untouched too
@@ -135,21 +135,26 @@ class TestPredictability:
             Instance(Marginal.gaussian(0.3, 1.0), Marginal.gaussian(0.0, 2.0)),
             Instance(Marginal.bernoulli(0.6), Marginal.bernoulli(0.4)),
         ]),
-        policy=st.sampled_from([AdaptiveNeyman(), AdaptiveNeyman(eta=0.2), OracleNeyman(1.0, 2.0)]),
+        pair=st.sampled_from([
+            (AdaptiveNeyman(), "aipw"),
+            (AdaptiveNeyman(eta=0.2), "aipw"),
+            (OracleNeyman(1.0, 2.0), "sample_mean"),
+        ]),
         delta=st.floats(-50.0, 50.0).filter(lambda d: d != 0.0),
     )
     @settings(max_examples=150, deadline=None)
-    def test_perturbing_round_t_keeps_rounds_up_to_t(self, T, data, seed, inst, policy, delta):
+    def test_perturbing_round_t_keeps_rounds_up_to_t(self, T, data, seed, inst, pair, delta):
         """Against the scalar oracle: w_used and mu_tilde_pre of rounds 1..t
         ignore round t's outcome, for any budget, round, seed and family."""
+        cfg = TrialConfig(inst, T, *pair, seed=seed)
         t = data.draw(st.integers(1, T), label="t")
         y1 = inst.arm1.draw(spawn(seed, 0), T)
         y2 = inst.arm2.draw(spawn(seed, 1), T)
         u = spawn(seed, 2).random(T)
-        records, _ = simulate_rounds(inst, policy, "aipw", y1, y2, u)
+        records, _ = simulate_rounds(cfg, y1, y2, u)
         y1[t - 1] += delta
         y2[t - 1] += delta
-        moved, _ = simulate_rounds(inst, policy, "aipw", y1, y2, u)
+        moved, _ = simulate_rounds(cfg, y1, y2, u)
         for before, after in zip(records[:t], moved[:t]):
             assert after.w_used == before.w_used
             assert after.mu_tilde_pre == before.mu_tilde_pre

@@ -177,14 +177,17 @@ class TestBlockPolicies:
     def test_oracle_fraction(self):
         pol = OracleNeyman(1.0, 3.0)
         assert pol.target_fraction == 0.25
-        assert allocation_probability(AllocationState(), pol) == 0.25
 
     def test_oracle_validation(self):
         with pytest.raises(ValueError):
             OracleNeyman(0.0, 1.0)
 
-    def test_uniform_is_half(self):
-        assert allocation_probability(AllocationState(), Uniform()) == 0.5
+    @pytest.mark.parametrize("pol", [Uniform(), OracleNeyman(1.0, 3.0)], ids=["uniform", "oracle"])
+    def test_block_policies_have_no_probability(self, pol):
+        """A block schedule plays its arm with probability 1; block_cut says which."""
+        name = type(pol).__name__
+        with pytest.raises(ValueError, match=f"^{name} has no allocation probability; block_cut"):
+            allocation_probability(AllocationState(), pol)
 
     def test_block_cut_uniform(self):
         assert block_cut(Uniform(), 10) == 5
@@ -199,6 +202,10 @@ class TestBlockPolicies:
 
     def test_block_cut_adaptive_is_none(self):
         assert block_cut(AdaptiveNeyman(), 10) is None
+
+    def test_block_cut_rejects_a_non_policy(self):
+        with pytest.raises(ValueError, match="^policy must be AdaptiveNeyman, OracleNeyman or"):
+            block_cut("uniform", 10)
 
 
 class TestPolicyConfig:

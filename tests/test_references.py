@@ -3,8 +3,9 @@
 The scalar oracle proves that the vectorized engine does what the spec
 says; these tests check the spec itself against facts that hold whatever
 the code: swapping the arms' distributions mirrors misidentification,
-and under a block schedule the sample-mean recommendation has a closed
-form at every finite budget.
+under a block schedule the sample-mean recommendation has a closed form
+at every finite budget, and adaptive AIPW and IPW estimate each arm's
+mean without bias.
 """
 
 import math
@@ -60,6 +61,32 @@ def test_swapping_the_arms_mirrors_misidentification(policy, est, family):
     p_ba, se_ba = _misid_with_fair_ties(Instance(b, a), policy, est, R, seed=32)
     assert abs(p_ab - p_ba) <= 4.0 * math.hypot(se_ab, se_ba), (p_ab, p_ba)
     assert 0.02 < p_ab < 0.5  # neither rare nor a coin flip, so a bias would show
+
+
+# Means far from 0: an augmentation or weight that is off by a term moves
+# mu_hat by a share of the mean, which means near 0 hide.
+FAR_FROM_ZERO = [
+    pytest.param(
+        Instance(Marginal.gaussian(5.1, 1.0), Marginal.gaussian(5.0, 2.25)), id="gaussian"
+    ),
+    pytest.param(Instance(Marginal.bernoulli(0.9), Marginal.bernoulli(0.8)), id="bernoulli"),
+]
+
+
+@pytest.mark.parametrize("est", ["aipw", "ipw"])
+@pytest.mark.parametrize("inst", FAR_FROM_ZERO)
+def test_adaptive_weighted_estimates_are_unbiased(inst, est):
+    """E[mu_hat(a)] = mu_a for adaptive AIPW and IPW, within 4 SE, at T = 40.
+
+    Round t's summand has conditional mean mu_a given rounds 1..t-1,
+    because its propensity and plug-in mean are fixed before the round and
+    the propensity is the true one (Hahn, Hirano & Karlan, JBES 2011), so
+    the T-round average is unbiased at every budget.
+    """
+    R = 20_000
+    mu = replicate(TrialConfig(inst, 40, AdaptiveNeyman(eta=0.2), est, seed=37), R).mu_hat
+    z = (mu.mean(axis=0) - inst.means) / (mu.std(axis=0, ddof=1) / math.sqrt(R))
+    assert np.all(np.abs(z) <= 4.0), z
 
 
 def _phi_minus(x: float) -> float:
