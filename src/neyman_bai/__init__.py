@@ -59,7 +59,7 @@ from .theory import (
     worst_case_gap,
 )
 
-__version__ = "0.13.0"
+__version__ = "0.13.1"
 
 __all__ = [
     "AdaptiveNeyman",

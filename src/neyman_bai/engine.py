@@ -345,13 +345,17 @@ def _kernel_adaptive(policy: AdaptiveNeyman, estimator: str, arm1, arm2, t0: int
     """Adaptive-Neyman rounds t0.. of one round-major block, vectorized.
 
     Mirrors simulate_rounds operation for operation (same divisions, same
-    accumulation order over t), so each column equals the scalar path bit
-    for bit once replicate divides. tables holds arm-1 and arm-2 standard
-    draws and selection uniforms, each (rounds, B); arm1 and arm2 map a
-    round's draws of their arm to (G, B) outcomes, or to (B,) outcomes
-    shared by every point (see _arm_outcomes). state carries the (G, B) sums (acc1, acc2, n1, n2,
-    mean1, mean2, m2_1, m2_2) from the previous block, zeros before round
-    0; the updated state is returned.
+    accumulation order over t) on every lane np.where keeps, so each column
+    equals the scalar path bit for bit once replicate divides. No lane is
+    guarded: the floor tests m2 / n as _variance_estimate does (an unplayed
+    arm's NaN fails it), the Welford step divides by n, at least 1 where the
+    arm was just played, and n2 = rounds - n1 is exact on integer floats;
+    the discarded lanes' divisions by zero stay silent. tables holds arm-1
+    and arm-2 standard draws and selection uniforms, each (rounds, B); arm1
+    and arm2 map a round's draws of their arm to (G, B) outcomes, or to (B,)
+    outcomes shared by every point (see _arm_outcomes). state carries the
+    (G, B) sums (acc1, acc2, n1, n2, mean1, mean2, m2_1, m2_2) from the
+    previous block, zeros before round 0; the updated state is returned.
     """
     z1, z2, u = tables
     eta = policy.eta
@@ -360,35 +364,35 @@ def _kernel_adaptive(policy: AdaptiveNeyman, estimator: str, arm1, arm2, t0: int
     ipw = estimator == "ipw"
     acc1, acc2, n1, n2, mean1, mean2, m2_1, m2_2 = state
 
-    for t in range(len(z1)):
-        v1 = np.where(m2_1 > 0.0, m2_1 / np.maximum(n1, 1.0), eta)
-        v2 = np.where(m2_2 > 0.0, m2_2 / np.maximum(n2, 1.0), eta)
-        s1 = np.sqrt(v1)
-        s2 = np.sqrt(v2)
-        w1 = np.clip(s1 / (s1 + s2), w_min, 1.0 - w_min)
-        w2 = 1.0 - w1
-        pick = u[t] < w1
-        notpick = ~pick
-        y = np.where(pick, arm1(z1[t]), arm2(z2[t]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t in range(len(z1)):
+            v1 = m2_1 / n1
+            v2 = m2_2 / n2
+            s1 = np.sqrt(np.where(v1 > 0.0, v1, eta))
+            s2 = np.sqrt(np.where(v2 > 0.0, v2, eta))
+            w1 = np.clip(s1 / (s1 + s2), w_min, 1.0 - w_min)
+            w2 = 1.0 - w1
+            pick = u[t] < w1
+            y = np.where(pick, arm1(z1[t]), arm2(z2[t]))
+            d1 = y - mean1
+            d2 = y - mean2
 
-        if aipw:
-            acc1 += np.where(pick, (y - mean1) / w1, 0.0) + mean1
-            acc2 += np.where(notpick, (y - mean2) / w2, 0.0) + mean2
-        elif ipw:
-            acc1 += np.where(pick, y / w1, 0.0)
-            acc2 += np.where(notpick, y / w2, 0.0)
-        else:
-            acc1 += np.where(pick, y, 0.0)
-            acc2 += np.where(notpick, y, 0.0)
+            if aipw:
+                acc1 += np.where(pick, d1 / w1, 0.0) + mean1
+                acc2 += np.where(pick, 0.0, d2 / w2) + mean2
+            elif ipw:
+                acc1 += np.where(pick, y / w1, 0.0)
+                acc2 += np.where(pick, 0.0, y / w2)
+            else:
+                acc1 += np.where(pick, y, 0.0)
+                acc2 += np.where(pick, 0.0, y)
 
-        n1 = n1 + pick
-        d1 = y - mean1
-        mean1 = np.where(pick, mean1 + d1 / np.maximum(n1, 1.0), mean1)
-        m2_1 = np.where(pick, m2_1 + d1 * (y - mean1), m2_1)
-        n2 = n2 + notpick
-        d2 = y - mean2
-        mean2 = np.where(notpick, mean2 + d2 / np.maximum(n2, 1.0), mean2)
-        m2_2 = np.where(notpick, m2_2 + d2 * (y - mean2), m2_2)
+            n1 = n1 + pick
+            n2 = (t0 + t + 1) - n1
+            mean1 = np.where(pick, mean1 + d1 / n1, mean1)
+            m2_1 = np.where(pick, m2_1 + d1 * (y - mean1), m2_1)
+            mean2 = np.where(pick, mean2, mean2 + d2 / n2)
+            m2_2 = np.where(pick, m2_2, m2_2 + d2 * (y - mean2))
 
     return acc1, acc2, n1, n2, mean1, mean2, m2_1, m2_2
 

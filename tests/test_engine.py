@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -98,18 +99,52 @@ SWEEP_PAIRS = [
 class TestScalarVectorizedAgreement:
     """replicate() must reproduce run_trial() bit for bit, rep by rep."""
 
+    @staticmethod
+    def _assert_agrees(cfg, R):
+        got = replicate(cfg, R)
+        rec, corr, n1, mu = _scalar_replications(cfg, R)
+        label = f"{type(cfg.policy).__name__}/{cfg.estimator}"
+        assert np.array_equal(got.recommended, rec), label
+        assert np.array_equal(got.correct, corr), label
+        assert np.array_equal(got.n1, n1), label
+        assert np.array_equal(got.mu_hat, mu), label
+
     @pytest.mark.parametrize("inst", [GAUSS, BERN], ids=["gaussian", "bernoulli"])
     def test_all_policy_estimator_combos(self, inst):
-        R, T = 23, 37
         for policy, est in _combos(inst):
-            cfg = TrialConfig(inst, T, policy, est, seed=7)
-            got = replicate(cfg, R)
-            rec, corr, n1, mu = _scalar_replications(cfg, R)
-            label = f"{type(policy).__name__}/{est}"
-            assert np.array_equal(got.recommended, rec), label
-            assert np.array_equal(got.correct, corr), label
-            assert np.array_equal(got.n1, n1), label
-            assert np.array_equal(got.mu_hat, mu), label
+            self._assert_agrees(TrialConfig(inst, 37, policy, est, seed=7), 23)
+
+    def test_variance_estimate_underflowing_to_zero_is_floored(self):
+        """m2 > 0 while m2 / n underflows to 0.0: both paths must floor to eta.
+
+        Arm 1's variance, 1e-320, is subnormal, and replication 36 reaches
+        m2 / n == 0.0 with m2 > 0: the kernel must test m2 / n, as the
+        scalar path does, not m2.
+        """
+        inst = Instance(Marginal.gaussian(0.0, 1e-320), Marginal.gaussian(0.0, 1.0))
+        self._assert_agrees(TrialConfig(inst, 200, AdaptiveNeyman(eta=0.2), "aipw", seed=3), 50)
+
+    @pytest.mark.parametrize(
+        "inst",
+        [Instance(Marginal.bernoulli(0.97), Marginal.bernoulli(0.95)), GAUSS],
+        ids=["bernoulli-near-one", "gaussian"],
+    )
+    @pytest.mark.parametrize(
+        "policy, est",
+        [(AdaptiveNeyman(), "aipw"), (AdaptiveNeyman(), "ipw"),
+         (AdaptiveNeyman(eta=0.2), "sample_mean")],
+        ids=["aipw", "ipw", "sample_mean-eta0.2"],
+    )
+    def test_discarded_lanes_warn_nothing(self, inst, policy, est):
+        """Lanes of an arm unplayed (n = 0) or constant (m2 = 0) for many rounds.
+
+        The kernel divides by n on every lane and keeps the quotient only
+        where the arm was played, so the lanes it discards divide by zero;
+        that must neither warn nor change a kept value.
+        """
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self._assert_agrees(TrialConfig(inst, 37, policy, est, seed=7), 40)
 
     def test_starved_sample_mean_raises_in_both_paths(self):
         """Tiny eta can pin one arm near w_min long enough to starve it.

@@ -19,6 +19,15 @@ sides alike. One measurement covers:
   replicate call draws, without the kernels, per family, on one thread,
   at two shapes of whole trials (T = 2000, R = 1600 and T = 50,
   R = 20,000) and at the sweep's shape, whose trials span several blocks;
+- the adaptive kernel at the sweep's shape, interleaved: every side's
+  package is loaded into one interpreter under its own module name
+  (neyman_bai_<label>), and the sides' kernels take turns, one call each,
+  OPERATIONS_INTERLEAVED times, on the same tables: the sweep's three grid
+  points sharing arm 2, 1,600 rows, one 655-round block with AIPW, from the
+  state the first block leaves. Each call's ns per cell (points x rows x
+  rounds) is kept, with the median, and whether every side left the same
+  state bit for bit. Timing both sides in one process, call by call,
+  keeps a shared host's slow stretches from falling on one side only;
 - kernel ns/cell for the adaptive (AIPW) and the block (uniform, sample
   means) kernels at 400 to 16,000 rows, on one round-major block of 256
   rounds of Gaussian draws, one configuration. BENCH_15.json and earlier
@@ -46,6 +55,7 @@ measured again are kept. The engine must be at version 0.12.0 or later
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -54,6 +64,7 @@ import statistics
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +77,8 @@ REPLICATE = {"R": 3200, "T": 10_000}
 THREADS = (1, 2, 4)
 SWEEP = {"sigmas": (1.0, 2.0), "T": 10_000, "grid": (0.5, 1.0, 1.5), "R": 1600, "threads": 2}
 TRANSPORT = {"T": 50, "R": 20_000, "threads": 1, "operations": 5}
+SWEEP_KERNEL = {"rows": 1600, "rounds": 655, "estimator": "aipw"}
+OPERATIONS_INTERLEAVED = 25
 
 
 def _args(argv):
@@ -135,6 +148,69 @@ def _kernels(engine, width: int):
         ),
         lambda: engine._kernel_block(cut, *maps, 0, (z1, z2), np.zeros((2, 1, width))),
     )
+
+
+def _load(label: str, src: Path):
+    """The neyman_bai package under src, imported as neyman_bai_<label>."""
+    pkg = src.resolve() / "neyman_bai"
+    name = f"neyman_bai_{label}"
+    spec = importlib.util.spec_from_file_location(
+        name, pkg / "__init__.py", submodule_search_locations=[str(pkg)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _sweep_kernel(pkg, tables):
+    """(call, state): pkg's adaptive kernel on tables at the sweep's shape.
+
+    The sweep's grid points share arm 2, so arm 1 maps to one row per point
+    and arm 2 to one row for all. call(state) runs the block as rounds
+    t0 = rounds.., after a first block has left `state`, and returns the
+    new state.
+    """
+    Marginal = pkg.distributions.Marginal
+    engine = pkg.engine
+    s1, s2 = SWEEP["sigmas"]
+    scale = (s1 + s2) / SWEEP["T"] ** 0.5
+    arm2 = Marginal.gaussian(0.0, s2 * s2)
+    maps = (
+        engine._arm_outcomes([Marginal.gaussian(x * scale, s1 * s1) for x in SWEEP["grid"]]),
+        engine._arm_outcomes([arm2] * len(SWEEP["grid"])),
+    )
+    kernel = partial(
+        engine._kernel_adaptive, pkg.policies.AdaptiveNeyman(), SWEEP_KERNEL["estimator"], *maps
+    )
+    first = kernel(0, tables, np.zeros((8, len(SWEEP["grid"]), SWEEP_KERNEL["rows"])))
+    return partial(kernel, SWEEP_KERNEL["rounds"], tables), np.array(first)
+
+
+def interleaved_kernel(sides) -> dict:
+    """The sweep-shape adaptive kernel of every side, timed call by call in turn."""
+    rng = np.random.default_rng(7)
+    shape = (SWEEP_KERNEL["rounds"], SWEEP_KERNEL["rows"])
+    tables = (rng.standard_normal(shape), rng.standard_normal(shape), rng.random(shape))
+    cells = len(SWEEP["grid"]) * SWEEP_KERNEL["rows"] * SWEEP_KERNEL["rounds"]
+    kernels = {label: _sweep_kernel(_load(label, Path(src)), tables) for label, src in sides}
+    each = {label: [] for label in kernels}
+    states = {}
+    order = list(kernels)
+    for k in range(OPERATIONS_INTERLEAVED):
+        for label in order if k % 2 == 0 else order[::-1]:
+            call, warm = kernels[label]
+            state = warm.copy()
+            t = time.perf_counter()
+            out = call(state)
+            each[label].append((time.perf_counter() - t) / cells * 1e9)
+            states[label] = np.array(out)
+    first = next(iter(states.values()))
+    return {
+        "same_state": all(np.array_equal(v, first) for v in states.values()),
+        "median": {label: statistics.median(v) for label, v in each.items()},
+        "each": each,
+    }
 
 
 def _timed(fn) -> dict:
@@ -241,6 +317,8 @@ def main(argv=None) -> None:
         for label, src in sides if k % 2 == 0 else sides[::-1]:
             runs[label].append(_run_worker(Path(src)))
             print(f"repeat {k + 1}/{args.repeats}: {label} done", file=sys.stderr)
+    print("interleaved sweep kernel", file=sys.stderr)
+    kernel = interleaved_kernel(sides)
     doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     doc["host"] = _host()
     doc["setup"] = {
@@ -248,6 +326,7 @@ def main(argv=None) -> None:
         "kernel_estimator": {"adaptive": "aipw", "block": "sample_mean"},
         "operations": OPERATIONS,
         "replicate": REPLICATE, "sweep": SWEEP, "transport": TRANSPORT,
+        "sweep_kernel": {**SWEEP_KERNEL, "operations": OPERATIONS_INTERLEAVED},
         "order": "sides alternate which runs first from repeat to repeat",
     }
     doc.setdefault("runs", {})
@@ -258,8 +337,10 @@ def main(argv=None) -> None:
             "median": _median(measured),
             "each": measured,
         }
+    doc["sweep_kernel_ns_per_cell_interleaved"] = kernel
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(json.dumps({label: doc["runs"][label]["median"] for label in runs}, indent=1))
+    print(json.dumps({k: kernel[k] for k in ("same_state", "median")}, indent=1))
 
 
 if __name__ == "__main__":
