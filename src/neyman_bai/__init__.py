@@ -59,7 +59,7 @@ from .theory import (
     worst_case_gap,
 )
 
-__version__ = "0.13.1"
+__version__ = "0.13.2"
 
 __all__ = [
     "AdaptiveNeyman",

@@ -27,18 +27,18 @@ the kernels map both arms to outcomes one round at a time, z * sd + mean
 (u < mean for Bernoulli), the same operations as Marginal.draw.
 Configurations that differ only in their arms' parameters therefore read
 the same tables, so replicate(cfg, R, threads, instances=...) runs them
-all on one fill: every kernel call takes a (points, replications) state
-and maps each round's draws once per point, or once for an arm that every
-point shares. A worst-case sweep's grid and a transportation check's two
+all on one fill: every kernel keeps (points, replications) sums and maps
+each round's draws once per point, or once for an arm that every point
+shares. A worst-case sweep's grid and a transportation check's two
 models run this way.
 
 run_trial, the audit oracle, draws its replication's streams afresh with
 spawn and Marginal.draw and walks them with a readable scalar loop; it
 shares no draw code with the fill, which calls numpy's methods itself.
-replicate runs the same arithmetic vectorized, one kernel call per block
-on the calling thread, carrying each replication's running sums from
-block to block. With threads > 1, worker threads only fill blocks, each
-its own rows. Results are bit-identical to the scalar path and
+replicate runs the same arithmetic vectorized, one kernel call per chunk
+on the calling thread, which walks the chunk's blocks and carries the
+running sums. At most min(threads, CPUs) worker threads fill each block,
+each its own rows. Results are bit-identical to the scalar path and
 independent of blocks, chunks, thread count and the other points of a sweep.
 
 Regret bookkeeping uses the two-arm identity: expected simple regret equals
@@ -49,6 +49,7 @@ recommendations and never accumulates per-trial regrets separately.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
@@ -233,29 +234,30 @@ def _fill(cfg, lo, t0, blocks, kept, rows, scratch) -> None:
             block[:m, i:c] = band.T
 
 
-def _blocks(cfg: TrialConfig, lo: int, hi: int, rounds: int, threads: int = 1, pool=None):
+def _blocks(cfg: TrialConfig, lo: int, hi: int, rounds: int, threads: int = 1):
     """Yield (t0, blocks) over round blocks of replications lo..hi-1.
 
     blocks is a (streams, n, hi - lo) array: rounds t0..t0+n-1, round-major,
     one column per replication (see _fill). The buffer is reused, so read
-    each block before asking for the next. With a pool, `threads` workers
-    fill disjoint row ranges of each block, and the block is yielded once
-    all of them are done.
+    each block before asking for the next. min(threads, rows, CPUs) workers
+    fill disjoint row ranges of each block, in a thread pool of their own
+    if more than one, and the block is yielded once all of them are done.
     """
     B = hi - lo
     T = cfg.T
     nstreams = 3 if block_cut(cfg.policy, T) is None else 2
     buf = np.empty((nstreams, rounds, B))
-    parts = min(threads, B)
+    parts = min(threads, B, os.cpu_count() or 1)
     edges = [B * p // parts for p in range(parts + 1)]
     ranges = list(zip(edges[:-1], edges[1:]))
     scratch = [np.empty((min(_BAND, b - a), rounds)) for a, b in ranges]
     kept = None if rounds >= T else [[None] * B for _ in range(nstreams)]
-    for t0 in range(0, T, rounds):
-        blocks = buf[:, : min(rounds, T - t0)]
-        fill = partial(_fill, cfg, lo, t0, blocks, kept)
-        list((pool.map if pool is not None and parts > 1 else map)(fill, ranges, scratch))
-        yield t0, blocks
+    with ThreadPoolExecutor(parts) if parts > 1 else nullcontext() as pool:
+        for t0 in range(0, T, rounds):
+            blocks = buf[:, : min(rounds, T - t0)]
+            fill = partial(_fill, cfg, lo, t0, blocks, kept)
+            list((pool.map if pool else map)(fill, ranges, scratch))
+            yield t0, blocks
 
 
 def simulate_rounds(
@@ -341,8 +343,8 @@ def _shared(values: list[float]):
     return col[0, 0] if (bits == bits[0]).all() else col
 
 
-def _kernel_adaptive(policy: AdaptiveNeyman, estimator: str, arm1, arm2, t0: int, tables, state):
-    """Adaptive-Neyman rounds t0.. of one round-major block, vectorized.
+def _kernel_adaptive(policy: AdaptiveNeyman, estimator: str, arm1, arm2, blocks, shape):
+    """Adaptive-Neyman trials over a chunk's round blocks, vectorized.
 
     Mirrors simulate_rounds operation for operation (same divisions, same
     accumulation order over t) on every lane np.where keeps, so each column
@@ -350,70 +352,70 @@ def _kernel_adaptive(policy: AdaptiveNeyman, estimator: str, arm1, arm2, t0: int
     guarded: the floor tests m2 / n as _variance_estimate does (an unplayed
     arm's NaN fails it), the Welford step divides by n, at least 1 where the
     arm was just played, and n2 = rounds - n1 is exact on integer floats;
-    the discarded lanes' divisions by zero stay silent. tables holds arm-1
-    and arm-2 standard draws and selection uniforms, each (rounds, B); arm1
-    and arm2 map a round's draws of their arm to (G, B) outcomes, or to (B,)
-    outcomes shared by every point (see _arm_outcomes). state carries the
-    (G, B) sums (acc1, acc2, n1, n2, mean1, mean2, m2_1, m2_2) from the
-    previous block, zeros before round 0; the updated state is returned.
+    the discarded lanes' divisions by zero stay silent. blocks yields _blocks'
+    (t0, tables): arm-1 and arm-2 standard draws and selection uniforms,
+    each (rounds, B); arm1 and arm2 map a round's draws of their arm to (G, B)
+    outcomes, or to (B,) outcomes shared by every point (see _arm_outcomes).
+    The (G, B) = shape sums start at zero and carry from block to block;
+    returns the outcome sums and arm-1 counts (acc1, acc2, n1).
     """
-    z1, z2, u = tables
     eta = policy.eta
     w_min = policy.w_min
     aipw = estimator == "aipw"
     ipw = estimator == "ipw"
-    acc1, acc2, n1, n2, mean1, mean2, m2_1, m2_2 = state
+    acc1, acc2, n1, mean1, mean2, m2_1, m2_2 = np.zeros((7, *shape))
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        for t in range(len(z1)):
-            v1 = m2_1 / n1
-            v2 = m2_2 / n2
-            s1 = np.sqrt(np.where(v1 > 0.0, v1, eta))
-            s2 = np.sqrt(np.where(v2 > 0.0, v2, eta))
-            w1 = np.clip(s1 / (s1 + s2), w_min, 1.0 - w_min)
-            w2 = 1.0 - w1
-            pick = u[t] < w1
-            y = np.where(pick, arm1(z1[t]), arm2(z2[t]))
-            d1 = y - mean1
-            d2 = y - mean2
+        for t0, (z1, z2, u) in blocks:
+            n2 = t0 - n1
+            for t in range(len(z1)):
+                v1 = m2_1 / n1
+                v2 = m2_2 / n2
+                s1 = np.sqrt(np.where(v1 > 0.0, v1, eta))
+                s2 = np.sqrt(np.where(v2 > 0.0, v2, eta))
+                w1 = np.clip(s1 / (s1 + s2), w_min, 1.0 - w_min)
+                w2 = 1.0 - w1
+                pick = u[t] < w1
+                y = np.where(pick, arm1(z1[t]), arm2(z2[t]))
+                d1 = y - mean1
+                d2 = y - mean2
 
-            if aipw:
-                acc1 += np.where(pick, d1 / w1, 0.0) + mean1
-                acc2 += np.where(pick, 0.0, d2 / w2) + mean2
-            elif ipw:
-                acc1 += np.where(pick, y / w1, 0.0)
-                acc2 += np.where(pick, 0.0, y / w2)
-            else:
-                acc1 += np.where(pick, y, 0.0)
-                acc2 += np.where(pick, 0.0, y)
+                if aipw:
+                    acc1 += np.where(pick, d1 / w1, 0.0) + mean1
+                    acc2 += np.where(pick, 0.0, d2 / w2) + mean2
+                elif ipw:
+                    acc1 += np.where(pick, y / w1, 0.0)
+                    acc2 += np.where(pick, 0.0, y / w2)
+                else:
+                    acc1 += np.where(pick, y, 0.0)
+                    acc2 += np.where(pick, 0.0, y)
 
-            n1 = n1 + pick
-            n2 = (t0 + t + 1) - n1
-            mean1 = np.where(pick, mean1 + d1 / n1, mean1)
-            m2_1 = np.where(pick, m2_1 + d1 * (y - mean1), m2_1)
-            mean2 = np.where(pick, mean2, mean2 + d2 / n2)
-            m2_2 = np.where(pick, m2_2, m2_2 + d2 * (y - mean2))
+                n1 = n1 + pick
+                n2 = (t0 + t + 1) - n1
+                mean1 = np.where(pick, mean1 + d1 / n1, mean1)
+                m2_1 = np.where(pick, m2_1 + d1 * (y - mean1), m2_1)
+                mean2 = np.where(pick, mean2, mean2 + d2 / n2)
+                m2_2 = np.where(pick, m2_2, m2_2 + d2 * (y - mean2))
 
-    return acc1, acc2, n1, n2, mean1, mean2, m2_1, m2_2
+    return acc1, acc2, n1
 
 
-def _kernel_block(cut: int, arm1, arm2, t0: int, tables, state):
-    """Block-schedule rounds t0.. (oracle Neyman / uniform), vectorized.
+def _kernel_block(cut: int, arm1, arm2, blocks, shape):
+    """Block-schedule trials (oracle Neyman / uniform) over a chunk's blocks.
 
-    Arm 1 owns rounds 0..cut-1, arm 2 the rest; counts are deterministic,
-    and the sample mean is the only estimator TrialConfig admits here.
-    Accumulation order over t matches the scalar path exactly. tables,
-    arm1 and arm2 are as in _kernel_adaptive, without the uniforms; state
-    carries the (G, B) outcome sums (acc1, acc2) across blocks.
+    Arm 1 owns rounds 0..cut-1, arm 2 the rest; the sample mean is the only
+    estimator TrialConfig admits here. Accumulation order over t matches the
+    scalar path exactly. Arguments are as in _kernel_adaptive, without the
+    uniforms; returns the outcome sums and arm 1's count, (acc1, acc2, cut).
     """
-    z1, z2 = tables
-    acc1, acc2 = state
-    for t in range(t0, t0 + len(z1)):
-        if t < cut:
-            acc1 += arm1(z1[t - t0])
-        else:
-            acc2 += arm2(z2[t - t0])
-    return acc1, acc2
+    acc1, acc2 = np.zeros((2, *shape))
+    for t0, (z1, z2) in blocks:
+        for t in range(t0, t0 + len(z1)):
+            if t < cut:
+                acc1 += arm1(z1[t - t0])
+            else:
+                acc2 += arm2(z2[t - t0])
+    return acc1, acc2, cut
 
 
 def _layout(R: int, T: int) -> tuple[int, int]:
@@ -478,7 +480,8 @@ def replicate(
     Element i reproduces run_trial(cfg, i) exactly. Results, and the error
     for an arm the sample-mean estimator never observed (naming the lowest
     such replication, arm 1 first), do not depend on chunks, blocks or
-    `threads`. Worker threads only fill tables; the kernels run here.
+    `threads`. One kernel call per chunk runs here and walks its blocks;
+    at most min(threads, CPUs) worker threads fill them.
 
     With instances, runs one configuration per instance, replace(cfg,
     instance=inst), and returns a tuple of Replications in that order,
@@ -502,23 +505,14 @@ def replicate(
     cut = block_cut(cfg.policy, cfg.T)
     if cut is None:
         kernel = partial(_kernel_adaptive, cfg.policy, cfg.estimator, arm1, arm2)
-        sums = 8
     else:
         kernel = partial(_kernel_block, cut, arm1, arm2)
-        sums = 2
 
     rows, rounds = _layout(R, cfg.T)
-    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
-        for lo in range(0, R, rows):
-            hi = min(lo + rows, R)
-            state = np.zeros((sums, len(points), hi - lo))
-            for t0, tables in _blocks(cfg, lo, hi, rounds, threads, pool):
-                state = kernel(t0, tables, state)
-            acc[:, lo:hi, 0], acc[:, lo:hi, 1] = state[:2]
-            n1[:, lo:hi] = state[2] if cut is None else cut
-            # A view of the chunk's buffer would keep it alive through the
-            # next chunk's fill, or through _finish after the last one.
-            del tables, state
+    for lo in range(0, R, rows):
+        hi = min(lo + rows, R)
+        blocks = _blocks(cfg, lo, hi, rounds, threads)
+        acc[:, lo:hi, 0], acc[:, lo:hi, 1], n1[:, lo:hi] = kernel(blocks, (len(points), hi - lo))
 
     reps = tuple(_finish(p, acc[g], n1[g]) for g, p in enumerate(points))
     return reps[0] if instances is None else reps

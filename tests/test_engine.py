@@ -2,8 +2,8 @@
 
 import hashlib
 import math
+import tracemalloc
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -302,6 +302,53 @@ class TestLayout:
             assert 3 * rounds * rows * 8 <= (24 << 20 if rows <= 2048 else 48 << 20)
 
 
+class TestFillWorkers:
+    """_blocks runs min(threads, rows, CPUs) fill workers, in a pool only if more than one."""
+
+    @pytest.mark.parametrize(
+        "cpus, threads, rows, sizes",
+        [(1, 4, 300, []), (None, 4, 300, []), (2, 4, 300, [2]), (8, 4, 300, [4]),
+         (8, 4, 3, [3]), (8, 1, 300, [])],
+    )
+    def test_workers_are_capped_by_cpus_and_rows(self, monkeypatch, cpus, threads, rows, sizes):
+        """The worker count of each pool _blocks opens for one chunk; [] for none."""
+        opened = []
+
+        class Recording(eng.ThreadPoolExecutor):
+            def __init__(self, workers):
+                opened.append(workers)
+                super().__init__(workers)
+
+        monkeypatch.setattr(eng.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(eng, "ThreadPoolExecutor", Recording)
+        cfg = TrialConfig(GAUSS, 30, AdaptiveNeyman(), "aipw", seed=77)
+        assert len(list(eng._blocks(cfg, 0, rows, 7, threads))) == 5
+        assert opened == sizes
+
+
+class TestChunkMemory:
+    """replicate holds one chunk's table buffer at a time."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_traced_peak_stays_near_one_table_buffer(self, threads, monkeypatch):
+        """Three 400-row chunks of whole 2,000-round trials, adaptive AIPW.
+
+        One chunk's tables take 3 * T * rows * 8 bytes (18.3 MiB). A buffer
+        kept alive into the next chunk's fill would double the peak.
+        """
+        monkeypatch.setattr(eng, "_CHUNK_ROWS", 400)
+        T, R = 2000, 1200
+        assert eng._layout(R, T) == (400, T)
+        cfg = TrialConfig(GAUSS, T, AdaptiveNeyman(), "aipw", seed=5)
+        tracemalloc.start()
+        try:
+            replicate(cfg, R, threads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 3 * T * 400 * 8, peak / 2**20
+
+
 class TestBlockBoundaries:
     """replicate equals the scalar oracle across chunk and round-block edges.
 
@@ -374,36 +421,42 @@ class TestStreamIdentity:
 
     @pytest.mark.parametrize("inst", [GAUSS, BERN], ids=["gaussian", "bernoulli"])
     @pytest.mark.parametrize("policy", [AdaptiveNeyman(), Uniform()], ids=["adaptive", "block"])
-    def test_band_edges_and_worker_starts_equal_fresh_spawn_streams(self, inst, policy):
+    def test_band_edges_and_worker_starts_equal_fresh_spawn_streams(
+        self, inst, policy, monkeypatch
+    ):
         """Whole-trial rows re-keyed one after another, checked where a step could slip.
 
         Two workers fill rows 0..149 and 150..299 of a 300-row chunk that
-        starts at replication 2^61, each in bands of _BAND = 128 rows.
+        starts at replication 2^61, each in bands of _BAND = 128 rows. The
+        CPU count is patched so that the workers run on a 1-CPU host too.
         """
         assert eng._BAND == 128
+        monkeypatch.setattr(eng.os, "cpu_count", lambda: 8)
         cfg = TrialConfig(inst, 12, policy, "sample_mean", seed=77)
         lo = 2**61
-        with ThreadPoolExecutor(2) as pool:
-            ((_, tables),) = eng._blocks(cfg, lo, lo + 300, cfg.T, 2, pool)
-            edges = [0, 127, 128, 149, 150, 277, 278, 299]
-            self._assert_fresh_streams(cfg, lo, tables, edges)
+        ((_, tables),) = eng._blocks(cfg, lo, lo + 300, cfg.T, 2)
+        edges = [0, 127, 128, 149, 150, 277, 278, 299]
+        self._assert_fresh_streams(cfg, lo, tables, edges)
 
     @pytest.mark.parametrize("inst", [GAUSS, BERN], ids=["gaussian", "bernoulli"])
     @pytest.mark.parametrize("policy", [AdaptiveNeyman(), Uniform()], ids=["adaptive", "block"])
     @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_block_filled_streams_equal_whole_stream_draws(self, inst, policy, threads):
+    def test_block_filled_streams_equal_whole_stream_draws(
+        self, inst, policy, threads, monkeypatch
+    ):
         """Streams kept open across 7-round blocks (the last one partial).
 
         A 300-row chunk from replication 2^61: rows 127/128 straddle a band
         edge, 149/150 the second worker's first row at two threads, and
         99/100 and 199/200 the workers' first rows at three. Uniform's cut
         at round 15 falls inside the third block, and arm 1 is not drawn in
-        the last two.
+        the last two. The CPU count is patched so that every worker runs
+        whatever the host's.
         """
+        monkeypatch.setattr(eng.os, "cpu_count", lambda: 8)
         cfg = TrialConfig(inst, 30, policy, "sample_mean", seed=77)
         lo = 2**61
-        with ThreadPoolExecutor(threads) as pool:
-            blocks = [(t0, b.copy()) for t0, b in eng._blocks(cfg, lo, lo + 300, 7, threads, pool)]
+        blocks = [(t0, b.copy()) for t0, b in eng._blocks(cfg, lo, lo + 300, 7, threads)]
         assert [t0 for t0, _ in blocks] == [0, 7, 14, 21, 28]
         tables = np.concatenate([b for _, b in blocks], axis=1)
         edges = [0, 99, 100, 127, 128, 149, 150, 199, 200, 299]

@@ -23,14 +23,14 @@ sides alike. One measurement covers:
   package is loaded into one interpreter under its own module name
   (neyman_bai_<label>), and the sides' kernels take turns, one call each,
   OPERATIONS_INTERLEAVED times, on the same tables: the sweep's three grid
-  points sharing arm 2, 1,600 rows, one 655-round block with AIPW, from the
-  state the first block leaves. Each call's ns per cell (points x rows x
-  rounds) is kept, with the median, and whether every side left the same
-  state bit for bit. Timing both sides in one process, call by call,
+  points sharing arm 2, 1,600 rows, AIPW, two 655-round blocks (the same
+  tables twice) from zero sums. Each call's ns per cell (points x rows x
+  2 x rounds) is kept, with the median, and whether every side returned
+  the same sums bit for bit. Timing both sides in one process, call by call,
   keeps a shared host's slow stretches from falling on one side only;
 - kernel ns/cell for the adaptive (AIPW) and the block (uniform, sample
   means) kernels at 400 to 16,000 rows, on one round-major block of 256
-  rounds of Gaussian draws, one configuration. BENCH_15.json and earlier
+  rounds of Gaussian draws from zero sums, one configuration. BENCH_15.json and earlier
   timed the block kernel with AIPW, which it no longer has, so its figure
   is not comparable with theirs;
 - replicate wall and CPU time for adaptive Neyman + AIPW at R = 3200,
@@ -48,8 +48,9 @@ Each fill figure and kernel width is the median of OPERATIONS (5)
 operations. Under `runs`, each label holds the median of every figure
 over the repeats and the measurements of each repeat, next to the host (nproc,
 CPU model, Python and numpy versions). Labels already in the file and not
-measured again are kept. The engine must be at version 0.12.0 or later
-(a block kernel that carries the two sample-mean sums only).
+measured again are kept. The engine must be at version 0.13.2 or later:
+each kernel takes a chunk's (t0, tables) blocks and its (points, rows)
+shape, keeps its own sums and returns (acc1, acc2, n1).
 """
 
 from __future__ import annotations
@@ -143,10 +144,8 @@ def _kernels(engine, width: int):
     arm1, arm2 = Marginal.gaussian(0.03, 1.0), Marginal.gaussian(0.0, 4.0)
     maps = (engine._arm_outcomes([arm1]), engine._arm_outcomes([arm2]))
     return (
-        lambda: engine._kernel_adaptive(
-            policy, "aipw", *maps, 0, (z1, z2, u), np.zeros((8, 1, width))
-        ),
-        lambda: engine._kernel_block(cut, *maps, 0, (z1, z2), np.zeros((2, 1, width))),
+        lambda: engine._kernel_adaptive(policy, "aipw", *maps, [(0, (z1, z2, u))], (1, width)),
+        lambda: engine._kernel_block(cut, *maps, [(0, (z1, z2))], (1, width)),
     )
 
 
@@ -164,12 +163,11 @@ def _load(label: str, src: Path):
 
 
 def _sweep_kernel(pkg, tables):
-    """(call, state): pkg's adaptive kernel on tables at the sweep's shape.
+    """pkg's adaptive kernel on tables at the sweep's shape, as a call without arguments.
 
     The sweep's grid points share arm 2, so arm 1 maps to one row per point
-    and arm 2 to one row for all. call(state) runs the block as rounds
-    t0 = rounds.., after a first block has left `state`, and returns the
-    new state.
+    and arm 2 to one row for all. Each call runs tables twice, as rounds
+    0.. and rounds.., from zero sums and returns (acc1, acc2, n1).
     """
     Marginal = pkg.distributions.Marginal
     engine = pkg.engine
@@ -180,11 +178,10 @@ def _sweep_kernel(pkg, tables):
         engine._arm_outcomes([Marginal.gaussian(x * scale, s1 * s1) for x in SWEEP["grid"]]),
         engine._arm_outcomes([arm2] * len(SWEEP["grid"])),
     )
-    kernel = partial(
-        engine._kernel_adaptive, pkg.policies.AdaptiveNeyman(), SWEEP_KERNEL["estimator"], *maps
+    return partial(
+        engine._kernel_adaptive, pkg.policies.AdaptiveNeyman(), SWEEP_KERNEL["estimator"], *maps,
+        [(0, tables), (SWEEP_KERNEL["rounds"], tables)], (len(SWEEP["grid"]), SWEEP_KERNEL["rows"]),
     )
-    first = kernel(0, tables, np.zeros((8, len(SWEEP["grid"]), SWEEP_KERNEL["rows"])))
-    return partial(kernel, SWEEP_KERNEL["rounds"], tables), np.array(first)
 
 
 def interleaved_kernel(sides) -> dict:
@@ -192,17 +189,16 @@ def interleaved_kernel(sides) -> dict:
     rng = np.random.default_rng(7)
     shape = (SWEEP_KERNEL["rounds"], SWEEP_KERNEL["rows"])
     tables = (rng.standard_normal(shape), rng.standard_normal(shape), rng.random(shape))
-    cells = len(SWEEP["grid"]) * SWEEP_KERNEL["rows"] * SWEEP_KERNEL["rounds"]
+    cells = len(SWEEP["grid"]) * SWEEP_KERNEL["rows"] * 2 * SWEEP_KERNEL["rounds"]
     kernels = {label: _sweep_kernel(_load(label, Path(src)), tables) for label, src in sides}
     each = {label: [] for label in kernels}
     states = {}
     order = list(kernels)
     for k in range(OPERATIONS_INTERLEAVED):
         for label in order if k % 2 == 0 else order[::-1]:
-            call, warm = kernels[label]
-            state = warm.copy()
+            call = kernels[label]
             t = time.perf_counter()
-            out = call(state)
+            out = call()
             each[label].append((time.perf_counter() - t) / cells * 1e9)
             states[label] = np.array(out)
     first = next(iter(states.values()))
