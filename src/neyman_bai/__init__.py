@@ -9,7 +9,6 @@ from .distributions import (
     Family,
     Instance,
     Marginal,
-    best_arm,
     fisher_information,
     kl_divergence,
     lower_bound_alternative,
@@ -38,15 +37,10 @@ from .estimators import (
 )
 from .policies import (
     AdaptiveNeyman,
-    AllocationState,
     OracleNeyman,
     Policy,
     Uniform,
-    allocation_probability,
     block_cut,
-    policy_from_config,
-    policy_to_config,
-    update,
 )
 from .rng import spawn
 from .theory import (
@@ -59,11 +53,10 @@ from .theory import (
     worst_case_gap,
 )
 
-__version__ = "0.13.2"
+__version__ = "0.14.0"
 
 __all__ = [
     "AdaptiveNeyman",
-    "AllocationState",
     "ConsistencyPoint",
     "DEFAULT_GRID",
     "Family",
@@ -80,8 +73,6 @@ __all__ = [
     "TrialResult",
     "Uniform",
     "aipw_estimate",
-    "allocation_probability",
-    "best_arm",
     "binary_relative_entropy",
     "block_cut",
     "check_transportation",
@@ -92,8 +83,6 @@ __all__ = [
     "lower_bound_alternative",
     "minimax_lower_bound_constant",
     "misid_upper_bound",
-    "policy_from_config",
-    "policy_to_config",
     "recommend",
     "regret_upper_bound_curve",
     "replicate",
@@ -103,6 +92,5 @@ __all__ = [
     "sample_mean_estimate",
     "spawn",
     "sweep_worst_case",
-    "update",
     "worst_case_gap",
 ]

@@ -45,7 +45,13 @@ def _misid_exponent(sigma1: float, sigma2: float, gap: float, T: int) -> float:
     if T < 1:
         raise ValueError(f"budget T must be >= 1, got {T}")
     s = sigma1 + sigma2
-    return T * gap * gap / (2.0 * s * s)
+    denominator = 2.0 * s * s
+    if denominator == 0.0:
+        raise ValueError(
+            f"standard deviations ({sigma1!r}, {sigma2!r}) are too small: "
+            "2*(sigma1+sigma2)^2 underflows to 0"
+        )
+    return T * gap * gap / denominator
 
 
 def misid_upper_bound(sigma1: float, sigma2: float, gap: float, T: int) -> float:

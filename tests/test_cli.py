@@ -1,5 +1,7 @@
 """Command-line behavior: formats, exit codes, seed precedence, verify wiring."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import neyman_bai.cli as cli
 from neyman_bai.cli import COLUMNS, ENV_SEED, main
@@ -37,6 +41,13 @@ def _write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+def _bundled_schema(name):
+    return json.loads(resources.files("neyman_bai.schemas").joinpath(name).read_text("utf-8"))
+
+
+OUTPUT_SCHEMA = _bundled_schema("output.schema.json")
 
 
 def _rows(csv_text):
@@ -166,17 +177,11 @@ class TestBounds:
 
 
 class TestJsonFormat:
-    def _schema(self):
-        text = resources.files("neyman_bai.schemas").joinpath(
-            "output.schema.json"
-        ).read_text("utf-8")
-        return json.loads(text)
-
     def test_run_output_validates(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, RUN_CONFIG)
         assert main(["run", "--config", cfg, "--format", "json"]) == 0
         rows = json.loads(capsys.readouterr().out)
-        jsonschema.validate(rows, self._schema())
+        jsonschema.validate(rows, OUTPUT_SCHEMA)
         assert rows[0]["x"] is None
         assert rows[0]["seed"] == 7
 
@@ -184,7 +189,7 @@ class TestJsonFormat:
         cfg = _write_config(tmp_path, TestBounds.BOUNDS_CONFIG)
         assert main(["bounds", "--config", cfg, "--format", "json"]) == 0
         rows = json.loads(capsys.readouterr().out)
-        jsonschema.validate(rows, self._schema())
+        jsonschema.validate(rows, OUTPUT_SCHEMA)
         assert rows[0]["R"] is None
         assert rows[0]["seed"] is None
 
@@ -429,6 +434,17 @@ def test_block_policy_with_the_default_estimator_exits_two(tmp_path, command, po
     ) in proc.stderr
 
 
+def test_bounds_sds_whose_squared_sum_underflows_exit_two(tmp_path):
+    """sigmas (1e-300, 1e-300) pass the schema, but 2*(2e-300)^2 is 0.0: that
+    used to end in a ZeroDivisionError traceback and exit code 1."""
+    cfg = _write_config(tmp_path, {"sigmas": [1e-300, 1e-300], "T": 2})
+    proc = _cli_process(["bounds", "--config", cfg])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "error: standard deviations (1e-300, 1e-300) are too small" in proc.stderr
+
+
 def test_config_that_is_not_utf8_names_its_path(tmp_path, capsys):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"T": 50, "policy": {"kind": "uniform"}} \xff')
@@ -563,3 +579,135 @@ class TestVerifyCommand:
         monkeypatch.setattr(cli, "run_all", fake)
         assert main(["verify", "--seed", "123"]) == 0
         assert seen["seed"] == 123
+
+
+# --- No input makes the CLI print a traceback -------------------------------
+
+CONFIG_KEYS = _bundled_schema("config.schema.json")["properties"]
+
+# Values at and past every bound the schema and the library state. Values
+# are mostly in-domain, so that most configs reach the library; the
+# mutations in _cli_configs supply the rest.
+EDGE_NUMBERS = (5e-324, 1e-300, 1e100, 1e101, sys.float_info.max)
+POSITIVE = st.one_of(st.sampled_from(EDGE_NUMBERS + (0.5, 1.0, 2.0)), st.floats(1e-3, 4.0))
+SIGNED = st.one_of(POSITIVE, POSITIVE.map(lambda v: -v), st.just(0.0))
+PROBABILITY = st.one_of(st.sampled_from((5e-324, 1e-300, 0.5)), st.floats(1e-3, 1 - 1e-3))
+# What a mutation writes in place of a value: a bool for a number, a
+# string, null, a whole float for an integer, and values at the bounds.
+WRONG_VALUE = st.one_of(
+    st.sampled_from([True, False, "1", None, 20.0, 0, 1, -1, *EDGE_NUMBERS]),
+    st.builds(list),
+    st.builds(dict),  # a fresh one each time, since a mutation may add keys to it
+)
+
+
+def _pair(values):
+    # Equal pairs too: sigmas (1e-300, 1e-300) square to 0.0 only together.
+    return st.one_of(st.lists(values, min_size=2, max_size=2), values.map(lambda v: [v, v]))
+
+
+def _small_list(values):
+    return st.lists(values, min_size=1, max_size=3)
+
+
+@st.composite
+def _instances(draw):
+    family = draw(st.sampled_from(CONFIG_KEYS["instance"]["properties"]["family"]["enum"]))
+    if family == "gaussian":
+        return {"family": family, "means": draw(_pair(SIGNED)), "variances": draw(_pair(POSITIVE))}
+    means = draw(_pair(PROBABILITY))
+    if draw(st.booleans()):
+        return {"family": family, "means": means}
+    return {"family": family, "means": means, "variances": [m * (1.0 - m) for m in means]}
+
+
+# A policy's options and their values, per kind; every option is a key of
+# the schema's policy.
+POLICY_OPTIONS = {
+    "adaptive_neyman": {
+        "eta": st.one_of(PROBABILITY, st.sampled_from(EDGE_NUMBERS)),
+        "w_min": st.one_of(st.sampled_from((5e-324, 0.01, 0.5)), st.floats(1e-3, 0.5)),
+    },
+    "oracle_neyman": {"sigma1": POSITIVE, "sigma2": POSITIVE},
+    "uniform": {},
+}
+
+# One value strategy per top-level key of config.schema.json, inside the
+# test's budget: R <= 5, T <= 40 and grids of at most 3 points.
+CONFIG_VALUES = {
+    "instance": _instances(),
+    "sigmas": _pair(POSITIVE),
+    "T": st.integers(2, 40),
+    "budgets": _small_list(st.integers(2, 40)),
+    "policy": st.sampled_from(sorted(POLICY_OPTIONS)).flatmap(
+        lambda kind: st.fixed_dictionaries({"kind": st.just(kind)}, optional=POLICY_OPTIONS[kind])
+    ),
+    "estimator": st.sampled_from(CONFIG_KEYS["estimator"]["enum"]),
+    "R": st.integers(1, 5),
+    "seed": st.sampled_from([0, 7, 2**64 - 1, 2**64]),
+    "grid": _small_list(POSITIVE),
+    "threads": st.sampled_from([1, 2]),
+}
+
+# Required and optional config keys of each data command (verify takes no config).
+COMMAND_KEYS = {
+    "run": (("instance", "T", "policy", "R"), ("estimator", "seed", "threads")),
+    "sweep": (("sigmas", "T", "policy", "R"), ("grid", "estimator", "seed", "threads")),
+    "consistency": (("instance", "budgets", "policy", "R"), ("estimator", "seed", "threads")),
+    "bounds": (("sigmas", "T"), ("grid",)),
+}
+
+
+def test_fuzz_strategies_cover_the_schema_keys():
+    assert set(CONFIG_VALUES) == set(CONFIG_KEYS)
+    policy = CONFIG_KEYS["policy"]["properties"]
+    assert set(POLICY_OPTIONS) == set(policy["kind"]["enum"])
+    assert {k for opts in POLICY_OPTIONS.values() for k in opts} == set(policy) - {"kind"}
+
+
+@st.composite
+def _cli_configs(draw):
+    """A data command and a config for it, with up to two keys dropped,
+    replaced by a wrong value, or joined by an unknown key."""
+    command = draw(st.sampled_from(sorted(COMMAND_KEYS)))
+    required, optional = COMMAND_KEYS[command]
+    doc = draw(st.fixed_dictionaries(
+        {key: CONFIG_VALUES[key] for key in required},
+        optional={key: CONFIG_VALUES[key] for key in optional},
+    ))
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
+        holders = [doc, *(v for v in doc.values() if isinstance(v, dict))]
+        holder = draw(st.sampled_from(holders))
+        action = draw(st.sampled_from(["drop", "replace", "unknown"]))
+        if action == "unknown" or not holder:
+            holder["unknown_key"] = draw(WRONG_VALUE)
+        else:
+            key = draw(st.sampled_from(sorted(holder)))
+            if action == "drop":
+                del holder[key]
+            else:
+                holder[key] = draw(WRONG_VALUE)
+    return command, doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "config.json"
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_cli_configs())
+def test_no_config_makes_the_cli_print_a_traceback(fuzz_config_path, case):
+    """Every config exits 0 with schema-valid JSON rows, or 2 with one error line."""
+    command, doc = case
+    fuzz_config_path.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(fuzz_config_path), "--format", "json"])
+    if code == 0:
+        jsonschema.validate(json.loads(out.getvalue()), OUTPUT_SCHEMA)
+    else:
+        assert code == 2
+        assert out.getvalue() == ""
+        errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+        assert len(errors) == 1, err.getvalue()

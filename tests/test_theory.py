@@ -78,6 +78,13 @@ class TestMisidBound:
         vals = [misid_upper_bound(1.0, 1.0, g, 100) for g in gaps]
         assert vals == sorted(vals, reverse=True)
 
+    def test_sds_whose_squared_sum_underflows_are_named(self):
+        """2*(2e-300)^2 is 0.0 in floating point; the exponent cannot be formed."""
+        with pytest.raises(ValueError, match=r"\(1e-300, 1e-300\) are too small"):
+            _misid_exponent(1e-300, 1e-300, 0.0, 2)
+        with pytest.raises(ValueError, match=r"\(5e-324, 1e-300\) are too small"):
+            misid_upper_bound(5e-324, 1e-300, 1e-300, 2)
+
 
 class TestWorstCaseGap:
     def test_exact_values(self):
