@@ -47,13 +47,12 @@ from .theory import (
     TransportReport,
     binary_relative_entropy,
     check_transportation,
-    minimax_lower_bound_constant,
+    chernoff_envelope,
     misid_upper_bound,
-    regret_upper_bound_curve,
     worst_case_gap,
 )
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"
 
 __all__ = [
     "AdaptiveNeyman",
@@ -76,15 +75,14 @@ __all__ = [
     "binary_relative_entropy",
     "block_cut",
     "check_transportation",
+    "chernoff_envelope",
     "consistency_curve",
     "fisher_information",
     "ipw_estimate",
     "kl_divergence",
     "lower_bound_alternative",
-    "minimax_lower_bound_constant",
     "misid_upper_bound",
     "recommend",
-    "regret_upper_bound_curve",
     "replicate",
     "run_monte_carlo",
     "run_trial",

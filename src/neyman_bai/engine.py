@@ -120,7 +120,7 @@ class TrialConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
-        _require_int("T", self.T)
+        _require_int("T", self.T, 53)
         _require_int("seed", self.seed, 64)
         if self.T < 2:
             raise ValueError(f"budget T must be >= 2, got {self.T}")

@@ -2,8 +2,7 @@
 
 Everything here is analytic except check_transportation, which backs the
 change-of-measure inequality with Monte Carlo event frequencies from the
-engine. Probability bounds are clipped at 1; the private raw exponent,
-_misid_exponent, lets exponent-level identities be tested without the clip.
+engine.
 """
 
 from __future__ import annotations
@@ -14,36 +13,39 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Instance, _bernoulli_kl, kl_divergence
-from .engine import Replications, TrialConfig, replicate
+from .engine import Replications, TrialConfig, _require_int, replicate
 from .policies import Policy
 
 
-def _require_sigmas(sigma1: float, sigma2: float) -> None:
-    if sigma1 <= 0.0 or sigma2 <= 0.0:
-        raise ValueError(
-            f"standard deviations must be positive, got ({sigma1}, {sigma2})"
-        )
+def _require(sigma1: float, sigma2: float, T: int | None = None, gap: float = 0.0) -> None:
+    """Reject an input outside the bounds' domain, naming the argument."""
+    # 1e50 is the schema's and Marginal's sigma limit; 2^53 TrialConfig's budget limit.
+    for name, sigma in (("sigma1", sigma1), ("sigma2", sigma2)):
+        if not 0.0 < sigma <= 1e50:
+            raise ValueError(f"{name} must lie in (0, 1e50], got {sigma!r}")
+    if not 0.0 <= gap < math.inf:
+        raise ValueError(f"gap must be finite and >= 0, got {gap!r}")
+    if T is not None:
+        _require_int("T", T, 53)
+        if T < 1:
+            raise ValueError(f"budget T must be >= 1, got {T}")
 
 
-def minimax_lower_bound_constant(sigma1: float, sigma2: float) -> float:
-    """sqrt(T) times the peak of regret_upper_bound_curve: (sigma1+sigma2)/sqrt(e).
+def chernoff_envelope(sigma1: float, sigma2: float) -> float:
+    """sqrt(T) times the peak of gap * misid_upper_bound: (sigma1+sigma2)/sqrt(e).
 
     Verify check 3 enforces it as an upper envelope on scaled regret, and
     every simulated allocation sits well below it: at sigmas (1, 3),
     x = 0.75 and T = 2000 uniform allocation scores 0.736 against 2.43, so
     the check cannot tell Neyman allocation from uniform.
     """
-    _require_sigmas(sigma1, sigma2)
+    _require(sigma1, sigma2)
     return (sigma1 + sigma2) * math.exp(-0.5)
 
 
 def _misid_exponent(sigma1: float, sigma2: float, gap: float, T: int) -> float:
-    """Raw exponent T*gap^2 / (2*(sigma1+sigma2)^2), before any clipping."""
-    _require_sigmas(sigma1, sigma2)
-    if gap < 0.0:
-        raise ValueError(f"gap must be nonnegative, got {gap}")
-    if T < 1:
-        raise ValueError(f"budget T must be >= 1, got {T}")
+    """Raw exponent T*gap^2 / (2*(sigma1+sigma2)^2) of misid_upper_bound."""
+    _require(sigma1, sigma2, T, gap)
     s = sigma1 + sigma2
     denominator = 2.0 * s * s
     if denominator == 0.0:
@@ -57,26 +59,16 @@ def _misid_exponent(sigma1: float, sigma2: float, gap: float, T: int) -> float:
 def misid_upper_bound(sigma1: float, sigma2: float, gap: float, T: int) -> float:
     """Chernoff-type misidentification bound exp(-T*gap^2/(2*(s1+s2)^2)).
 
-    Holds for the Neyman allocation on Gaussian arms; clipped at 1 so the
-    result is always a probability.
+    Holds for the Neyman allocation on Gaussian arms. Times the gap it is
+    the simple-regret bound, which over gap >= 0 rises, peaks at
+    worst_case_gap and falls; sqrt(T) times its peak is chernoff_envelope.
     """
-    return min(1.0, math.exp(-_misid_exponent(sigma1, sigma2, gap, T)))
-
-
-def regret_upper_bound_curve(sigma1: float, sigma2: float, T: int, gap: float) -> float:
-    """Simple-regret bound gap * misid_upper_bound as a function of the gap.
-
-    Over gap >= 0 the curve rises, peaks at worst_case_gap, and falls;
-    sqrt(T) times its peak value equals minimax_lower_bound_constant.
-    """
-    return gap * misid_upper_bound(sigma1, sigma2, gap, T)
+    return math.exp(-_misid_exponent(sigma1, sigma2, gap, T))
 
 
 def worst_case_gap(sigma1: float, sigma2: float, T: int) -> float:
-    """The gap (sigma1+sigma2)/sqrt(T) maximizing the regret bound curve."""
-    _require_sigmas(sigma1, sigma2)
-    if T < 1:
-        raise ValueError(f"budget T must be >= 1, got {T}")
+    """The gap (sigma1+sigma2)/sqrt(T) maximizing the regret bound."""
+    _require(sigma1, sigma2, T)
     return (sigma1 + sigma2) / math.sqrt(T)
 
 

@@ -1,6 +1,6 @@
 """Built-in verification suite behind the `verify` CLI subcommand.
 
-Nine checks exercise the package end to end at fixed scales: allocation
+The checks exercise the package end to end at fixed scales: allocation
 convergence, estimator unbiasedness, regret-bound non-violation, the
 oracle tail probability, the worst-case maximizer location, consistency
 in the budget, the transportation inequality, the KL-Fisher ratio, and
@@ -31,9 +31,9 @@ from .engine import (
 )
 from .policies import AdaptiveNeyman, OracleNeyman, Uniform
 from .theory import (
+    chernoff_envelope,
     check_transportation,
-    minimax_lower_bound_constant,
-    regret_upper_bound_curve,
+    misid_upper_bound,
     worst_case_gap,
 )
 
@@ -112,7 +112,7 @@ def check_regret_bound_non_violation(sweep: SweepResult) -> CheckResult:
     """
     t0 = perf_counter()
     s1, s2 = sweep.sigmas
-    limit = minimax_lower_bound_constant(s1, s2)
+    limit = chernoff_envelope(s1, s2)
     mult = THRESHOLDS["se_mult"]
     sqrt_t = math.sqrt(sweep.T)
     worst = None
@@ -152,7 +152,7 @@ def check_worst_case_maximizer(sweep: SweepResult) -> CheckResult:
     T = sweep.T
     gap_star = worst_case_gap(s1, s2, T)
     ident = abs(
-        math.sqrt(T) * regret_upper_bound_curve(s1, s2, T, gap_star)
+        math.sqrt(T) * (gap_star * misid_upper_bound(s1, s2, gap_star, T))
         - (s1 + s2) / math.sqrt(math.e)
     )
     ident_ok = ident <= THRESHOLDS["maximizer_identity_tol"]
@@ -261,7 +261,7 @@ def check_bernoulli_policy_equivalence(seed: int = 42, threads: int = 1) -> Chec
 
 
 def run_all(seed: int = 42, threads: int = 1) -> list[CheckResult]:
-    """All nine checks in order; the two bound checks share one sweep."""
+    """Every check in order; the two bound checks share one sweep."""
     results = [
         check_allocation_convergence(seed, threads),
         check_estimator_unbiasedness(seed, threads),

@@ -445,6 +445,34 @@ def test_bounds_sds_whose_squared_sum_underflows_exit_two(tmp_path):
     assert "error: standard deviations (1e-300, 1e-300) are too small" in proc.stderr
 
 
+def _error_lines(err):
+    return [line for line in err.splitlines() if line.startswith("error:")]
+
+
+def test_bounds_grid_point_with_an_infinite_gap_names_grid_and_x(tmp_path, capsys):
+    """gap = DBL_MAX * (2e50 / sqrt(2)) overflows: the row used to exit 0
+    with "gap": Infinity and "mean_regret": NaN."""
+    doc = {"sigmas": [1e50, 1e50], "T": 2, "grid": [sys.float_info.max]}
+    assert main(["bounds", "--config", _write_config(tmp_path, doc), "--format", "json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert _error_lines(err) == [
+        "error: bounds grid point x = 1.7976931348623157e+308: gap inf is not finite"
+    ]
+
+
+@pytest.mark.parametrize("T", [2**53, 10**400], ids=["2^53", "10^400"])
+@pytest.mark.parametrize("command", ["bounds", "sweep"])
+def test_budgets_from_2_to_the_53_exit_two(tmp_path, capsys, command, T):
+    """10**400 used to end in an OverflowError traceback: the budget was
+    converted to a float before anything checked it."""
+    doc = {**({"sigmas": [1.0, 2.0]} if command == "bounds" else SMALL_CONFIGS["sweep"]), "T": T}
+    assert main([command, "--config", _write_config(tmp_path, doc)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert _error_lines(err) == [f"error: T must lie in [0, 2^53), got {T}"]
+
+
 def test_config_that_is_not_utf8_names_its_path(tmp_path, capsys):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"T": 50, "policy": {"kind": "uniform"}} \xff')
@@ -588,7 +616,7 @@ CONFIG_KEYS = _bundled_schema("config.schema.json")["properties"]
 # Values at and past every bound the schema and the library state. Values
 # are mostly in-domain, so that most configs reach the library; the
 # mutations in _cli_configs supply the rest.
-EDGE_NUMBERS = (5e-324, 1e-300, 1e100, 1e101, sys.float_info.max)
+EDGE_NUMBERS = (5e-324, 1e-300, 1e50, 1e51, 1e100, 1e101, sys.float_info.max)
 POSITIVE = st.one_of(st.sampled_from(EDGE_NUMBERS + (0.5, 1.0, 2.0)), st.floats(1e-3, 4.0))
 SIGNED = st.one_of(POSITIVE, POSITIVE.map(lambda v: -v), st.just(0.0))
 PROBABILITY = st.one_of(st.sampled_from((5e-324, 1e-300, 0.5)), st.floats(1e-3, 1 - 1e-3))
@@ -637,7 +665,8 @@ POLICY_OPTIONS = {
 CONFIG_VALUES = {
     "instance": _instances(),
     "sigmas": _pair(POSITIVE),
-    "T": st.integers(2, 40),
+    # Budgets past 2^53 are rejected; an accepted huge budget would run without end.
+    "T": st.one_of(st.integers(2, 40), st.sampled_from([2**53, 10**400])),
     "budgets": _small_list(st.integers(2, 40)),
     "policy": st.sampled_from(sorted(POLICY_OPTIONS)).flatmap(
         lambda kind: st.fixed_dictionaries({"kind": st.just(kind)}, optional=POLICY_OPTIONS[kind])
@@ -690,6 +719,10 @@ def _cli_configs(draw):
     return command, doc
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name} in the output")
+
+
 @pytest.fixture(scope="module")
 def fuzz_config_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "config.json"
@@ -698,16 +731,16 @@ def fuzz_config_path(tmp_path_factory):
 @settings(max_examples=200, deadline=None)
 @given(case=_cli_configs())
 def test_no_config_makes_the_cli_print_a_traceback(fuzz_config_path, case):
-    """Every config exits 0 with schema-valid JSON rows, or 2 with one error line."""
+    """Every config exits 0 with strict, schema-valid JSON rows, or 2 with one error line."""
     command, doc = case
     fuzz_config_path.write_text(json.dumps(doc), encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([command, "--config", str(fuzz_config_path), "--format", "json"])
     if code == 0:
-        jsonschema.validate(json.loads(out.getvalue()), OUTPUT_SCHEMA)
+        rows = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        jsonschema.validate(rows, OUTPUT_SCHEMA)
     else:
         assert code == 2
         assert out.getvalue() == ""
-        errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
-        assert len(errors) == 1, err.getvalue()
+        assert len(_error_lines(err.getvalue())) == 1, err.getvalue()

@@ -1,10 +1,12 @@
 """Closed-form bounds, the information inequality, and their pinned values."""
 
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neyman_bai.distributions import Instance, Marginal, kl_divergence, lower_bound_alternative
@@ -13,10 +15,9 @@ from neyman_bai.policies import AdaptiveNeyman, OracleNeyman, Uniform
 from neyman_bai.theory import (
     _misid_exponent,
     binary_relative_entropy,
+    chernoff_envelope,
     check_transportation,
-    minimax_lower_bound_constant,
     misid_upper_bound,
-    regret_upper_bound_curve,
     worst_case_gap,
 )
 
@@ -25,23 +26,23 @@ from neyman_bai.theory import (
 D_01_05 = 0.3680642071684971
 
 
-class TestMinimaxConstant:
+class TestChernoffEnvelope:
     def test_unit_variances(self):
-        assert minimax_lower_bound_constant(1.0, 1.0) == 2.0 * math.exp(-0.5)
-        assert minimax_lower_bound_constant(1.0, 1.0) == 1.2130613194252668
+        assert chernoff_envelope(1.0, 1.0) == 2.0 * math.exp(-0.5)
+        assert chernoff_envelope(1.0, 1.0) == 1.2130613194252668
 
     def test_bernoulli_cap(self):
-        assert minimax_lower_bound_constant(0.5, 0.5) == 0.6065306597126334
+        assert chernoff_envelope(0.5, 0.5) == 0.6065306597126334
 
     def test_scales_linearly_in_the_sds(self):
-        base = minimax_lower_bound_constant(1.0, 2.0)
-        assert minimax_lower_bound_constant(3.0, 6.0) == pytest.approx(3 * base, rel=1e-15)
+        base = chernoff_envelope(1.0, 2.0)
+        assert chernoff_envelope(3.0, 6.0) == pytest.approx(3 * base, rel=1e-15)
 
     def test_rejects_nonpositive_sds(self):
         with pytest.raises(ValueError):
-            minimax_lower_bound_constant(0.0, 1.0)
+            chernoff_envelope(0.0, 1.0)
         with pytest.raises(ValueError):
-            minimax_lower_bound_constant(1.0, -2.0)
+            chernoff_envelope(1.0, -2.0)
 
 
 class TestMisidBound:
@@ -70,9 +71,7 @@ class TestMisidBound:
                 _misid_exponent(1.0, 1.0, gap, 2000), rel=1e-12
             )
 
-    def test_bound_is_clipped_at_one(self):
-        # tiny T, tiny gap: raw exp(-eps) > would not exceed 1 anyway,
-        # so force it with gap 0 and also check monotonicity in gap
+    def test_bound_is_at_most_one_and_falls_in_the_gap(self):
         assert misid_upper_bound(1.0, 1.0, 1e-9, 2) <= 1.0
         gaps = [0.0, 0.05, 0.1, 0.5]
         vals = [misid_upper_bound(1.0, 1.0, g, 100) for g in gaps]
@@ -99,7 +98,7 @@ class TestWorstCaseGap:
 
 class TestRegretBoundCurve:
     def test_zero_gap_zero_regret(self):
-        assert regret_upper_bound_curve(1.0, 1.0, 100, 0.0) == 0.0
+        assert 0.0 * misid_upper_bound(1.0, 1.0, 0.0, 100) == 0.0
 
     @pytest.mark.parametrize(
         "s1,s2,T", [(1.0, 1.0, 10000), (1.0, 2.0, 500), (0.3, 0.7, 99)]
@@ -107,7 +106,7 @@ class TestRegretBoundCurve:
     def test_value_at_the_critical_gap(self, s1, s2, T):
         """sqrt(T) * curve at gap (s1+s2)/sqrt(T) equals (s1+s2)/sqrt(e)."""
         gap = worst_case_gap(s1, s2, T)
-        got = math.sqrt(T) * regret_upper_bound_curve(s1, s2, T, gap)
+        got = math.sqrt(T) * (gap * misid_upper_bound(s1, s2, gap, T))
         want = (s1 + s2) * math.exp(-0.5)
         assert abs(got - want) <= 1e-12
 
@@ -116,16 +115,104 @@ class TestRegretBoundCurve:
         T = 400
         crit = worst_case_gap(s1, s2, T)
         gaps = np.linspace(crit / 50, 4 * crit, 200)
-        vals = [regret_upper_bound_curve(s1, s2, T, g) for g in gaps]
+        vals = [g * misid_upper_bound(s1, s2, g, T) for g in gaps]
         top = gaps[int(np.argmax(vals))]
         assert abs(top - crit) <= gaps[1] - gaps[0]
 
     def test_curve_is_unimodal_on_the_grid(self):
         gaps = np.linspace(1e-4, 0.5, 300)
-        vals = np.array([regret_upper_bound_curve(1.0, 1.0, 400, g) for g in gaps])
+        vals = np.array([g * misid_upper_bound(1.0, 1.0, g, 400) for g in gaps])
         signs = np.sign(np.diff(vals))
         changes = np.count_nonzero(np.diff(signs[signs != 0]))
         assert changes == 1
+
+
+class TestDomain:
+    """Every bound rejects an input outside its domain with a ValueError
+    naming the argument, and returns a finite value on the rest."""
+
+    # Sigmas in (0, 1e50], gaps finite and >= 0, budgets Python ints in
+    # [1, 2^53) for the bounds and [2, 2^53) for TrialConfig.
+    FLOATS = st.one_of(
+        st.floats(1e-3, 1e3),
+        st.sampled_from([
+            math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e-300,
+            1e50, 1e51, sys.float_info.max,
+        ]),
+        st.floats(allow_nan=True, allow_infinity=True),
+    )
+    BUDGETS = st.one_of(
+        st.integers(-2, 10**6),
+        st.sampled_from([2**53 - 1, 2**53, 10**400, True, False, 2.0, 2.5, 100.0]),
+        st.floats(allow_nan=True, allow_infinity=True),
+    )
+    VALID = {"sigma1": 1.0, "sigma2": 2.0, "gap": 0.1, "T": 100}
+
+    @staticmethod
+    def _outside(sigma1, sigma2, T=None, gap=0.0, T_min=1):
+        """The names of the arguments outside the documented domain."""
+        bad = {n for n, s in (("sigma1", sigma1), ("sigma2", sigma2)) if not 0.0 < s <= 1e50}
+        if not (math.isfinite(gap) and gap >= 0.0):
+            bad.add("gap")
+        if T is not None and (type(T) is not int or not T_min <= T < 2**53):
+            bad.add("T")
+        return bad
+
+    @staticmethod
+    def _call(fn, bad):
+        """fn()'s value, or None once it has raised a ValueError naming one of bad."""
+        if not bad:
+            return fn()
+        with pytest.raises(ValueError) as info:
+            fn()
+        named = [n for n in bad if re.search(rf"\b{n}\b", str(info.value))]
+        assert named, f"{info.value} names none of {sorted(bad)}"
+        return None
+
+    def _check_bounds(self, sigma1, sigma2, gap, T):
+        envelope = self._call(
+            lambda: chernoff_envelope(sigma1, sigma2), self._outside(sigma1, sigma2)
+        )
+        assert envelope is None or math.isfinite(envelope)
+        bad = self._outside(sigma1, sigma2, T)
+        scale = self._call(lambda: worst_case_gap(sigma1, sigma2, T), bad)
+        assert scale is None or 0.0 <= scale < math.inf
+        bad = self._outside(sigma1, sigma2, T, gap)
+        if not bad and 2.0 * (sigma1 + sigma2) * (sigma1 + sigma2) == 0.0:
+            bad = {"sigma1", "sigma2"}  # the exponent's denominator underflows
+        bound = self._call(lambda: misid_upper_bound(sigma1, sigma2, gap, T), bad)
+        assert bound is None or 0.0 <= bound <= 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(sigma1=FLOATS, sigma2=FLOATS, gap=FLOATS, T=BUDGETS)
+    def test_bounds_reject_or_return_finite_values(self, sigma1, sigma2, gap, T):
+        drawn = {"sigma1": sigma1, "sigma2": sigma2, "gap": gap, "T": T}
+        # Each drawn value alone among valid ones, then all of them together.
+        for args in [*({**self.VALID, k: v} for k, v in drawn.items()), drawn]:
+            self._check_bounds(**args)
+
+    @given(T=BUDGETS)
+    def test_trial_config_rejects_budgets_outside_its_domain(self, T):
+        inst = Instance(Marginal.gaussian(0.1, 1.0), Marginal.gaussian(0.0, 1.0))
+        bad = self._outside(1.0, 1.0, T, T_min=2)
+        cfg = self._call(lambda: TrialConfig(inst, T, Uniform(), "sample_mean", 0), bad)
+        assert cfg is None or cfg.T == T
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: misid_upper_bound(1.0, 1.0, math.nan, 100), "gap"),
+            (lambda: worst_case_gap(math.nan, 1.0, 100), "sigma1"),
+            (lambda: worst_case_gap(1.0, 1.0, True), "T"),
+            (lambda: misid_upper_bound(1.0, 1.0, 0.5, 2.5), "T"),
+            (lambda: misid_upper_bound(1.0, 1.0, 0.5, 2**53), "T"),
+            (lambda: chernoff_envelope(1.0, 2e50), "sigma2"),
+        ],
+        ids=["nan-gap", "nan-sigma", "bool-T", "float-T", "T-2^53", "sigma-past-1e50"],
+    )
+    def test_reproduced_inputs_are_named(self, call, name):
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            call()
 
 
 class TestBinaryRelativeEntropy:
