@@ -52,7 +52,7 @@ from .theory import (
     worst_case_gap,
 )
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"
 
 __all__ = [
     "AdaptiveNeyman",

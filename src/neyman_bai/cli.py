@@ -366,7 +366,7 @@ def _parser() -> argparse.ArgumentParser:
         if mc:
             sp.add_argument("--seed", type=int, help="master seed (overrides config and env)")
             sp.add_argument("--reps", type=int, help="replication count (overrides config R)")
-            sp.add_argument("--threads", type=int, help="worker threads for replication")
+            sp.add_argument("--threads", type=int, help="worker processes, at most one per CPU")
 
     common(sub.add_parser("run", help="one Monte Carlo run on a fixed instance"))
     common(sub.add_parser("sweep", help="scaled regret across the gap grid"))
@@ -374,7 +374,7 @@ def _parser() -> argparse.ArgumentParser:
     common(sub.add_parser("bounds", help="closed-form bound curve on the gap grid"), mc=False)
     ver = sub.add_parser("verify", help="run the built-in verification suite")
     ver.add_argument("--seed", type=int, help="master seed (overrides env)")
-    ver.add_argument("--threads", type=int, default=1, help="worker threads for replication")
+    ver.add_argument("--threads", type=int, default=1, help="worker processes, at most one per CPU")
     return parser
 
 

@@ -22,6 +22,28 @@ import numpy as np
 _MAGNITUDE_LIMIT = 1e100
 
 
+def _require_int(name: str, value, bits: int | None = None) -> None:
+    # Python ints only: numpy integers wrap silently in arithmetic such as 4i + k.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer (a Python int), got {value!r}")
+    if bits is not None and not 0 <= value < 1 << bits:
+        raise ValueError(f"{name} must lie in [0, 2^{bits}), got {value}")
+
+
+def _require(sigma1: float, sigma2: float, T: int | None = None, gap: float = 0.0) -> None:
+    """Reject an input outside the bounds' domain, naming the argument."""
+    # 1e50 is the schema's and Marginal's sigma limit; 2^53 TrialConfig's budget limit.
+    for name, sigma in (("sigma1", sigma1), ("sigma2", sigma2)):
+        if not 0.0 < sigma <= 1e50:
+            raise ValueError(f"{name} must lie in (0, 1e50], got {sigma!r}")
+    if not 0.0 <= gap < math.inf:
+        raise ValueError(f"gap must be finite and >= 0, got {gap!r}")
+    if T is not None:
+        _require_int("T", T, 53)
+        if T < 1:
+            raise ValueError(f"budget T must be >= 1, got {T}")
+
+
 class Family(str, enum.Enum):
     GAUSSIAN = "gaussian"
     BERNOULLI = "bernoulli"
@@ -184,10 +206,10 @@ def lower_bound_alternative(sigma1: float, sigma2: float, T: int) -> Instance:
     (sigma1+sigma2)/sqrt(T), the scale at which no allocation can separate
     the arms reliably within T rounds.
     """
-    if sigma1 <= 0.0 or sigma2 <= 0.0:
-        raise ValueError("standard deviations must be positive")
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
+    _require(sigma1, sigma2, T)
+    for name, sigma in (("sigma1", sigma1), ("sigma2", sigma2)):
+        if not 0.0 < sigma * sigma <= _MAGNITUDE_LIMIT:
+            raise ValueError(f"{name} {sigma!r} squares to {sigma * sigma!r}, outside (0, 1e100]")
     root_t = math.sqrt(T)
     return Instance(
         Marginal.gaussian(-sigma1 / root_t, sigma1 * sigma1),

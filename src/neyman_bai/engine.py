@@ -8,20 +8,19 @@ outcomes (4i+1), and selection uniforms (4i+2); the bound keeps 4i+3 below
 policy merely decides which column is observed), so a trial's random inputs
 are a pure function of (seed, i) and never depend on the policy's path.
 
-Tables are drawn in round blocks: replicate takes replications in chunks
-of at most _CHUNK_ROWS and draws their rounds into round-major (rounds,
-replications) blocks, so memory does not grow with T. A chunk's whole
-trials form one block when they fit in _CHUNK_CELLS (4M) cells per
-stream; a trial that spans several blocks gets blocks of _BLOCK_CELLS
-(1M) cells per stream, or of _MIN_ROUNDS rounds for chunks wider than
-2,048 rows. The table buffer, the peak of a call's memory, holds
-streams * rounds * rows * 8 bytes: at most 96 MiB for whole trials, 48
-MiB for several blocks (24 MiB up to 2,048 rows). A Philox stream is
-fixed by its key, and drawing it in pieces gives the same values as one
-draw, so the blocks hold exactly one whole-trial draw per stream. A block
-of whole trials re-keys one generator from row to row (rng.restarter); a
-trial longer than a block keeps each stream's draw method open from block
-to block (see _fill).
+run_trial, the audit oracle, draws its replication's streams afresh with
+spawn and Marginal.draw, sharing no draw code with the fill, and walks them
+with a readable scalar loop; replicate runs the same arithmetic vectorized.
+From _FORK_CELLS cells on, it splits the rows into at most min(threads,
+CPUs) contiguous ranges, runs the first itself and each other in a forked
+worker process, every process pinned to a CPU of its own. A range runs in
+chunks of at most _CHUNK_ROWS rows, one kernel call per chunk, whose tables
+the same thread draws in round-major (rounds, replications) blocks (see
+_blocks and _layout), so memory does not grow with T. It peaks at one table
+buffer per worker, streams * rounds * rows * 8 bytes: at most 96 MiB for
+whole trials, 48 MiB for several blocks (24 MiB up to 2,048 rows). A Philox
+stream is fixed by its key: drawing it in pieces repeats one whole draw.
+
 The blocks hold standard draws only (normals, or uniforms for Bernoulli);
 the kernels map both arms to outcomes one round at a time, z * sd + mean
 (u < mean for Bernoulli), the same operations as Marginal.draw.
@@ -30,16 +29,8 @@ the same tables, so replicate(cfg, R, threads, instances=...) runs them
 all on one fill: every kernel keeps (points, replications) sums and maps
 each round's draws once per point, or once for an arm that every point
 shares. A worst-case sweep's grid and a transportation check's two
-models run this way.
-
-run_trial, the audit oracle, draws its replication's streams afresh with
-spawn and Marginal.draw and walks them with a readable scalar loop; it
-shares no draw code with the fill, which calls numpy's methods itself.
-replicate runs the same arithmetic vectorized, one kernel call per chunk
-on the calling thread, which walks the chunk's blocks and carries the
-running sums. At most min(threads, CPUs) worker threads fill each block,
-each its own rows. Results are bit-identical to the scalar path and
-independent of blocks, chunks, thread count and the other points of a sweep.
+models run this way. Results are bit-identical to the scalar path and
+independent of blocks, chunks, workers and the other points of a sweep.
 
 Regret bookkeeping uses the two-arm identity: expected simple regret equals
 gap times misidentification probability, so the engine counts wrong
@@ -50,15 +41,16 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+import pickle
+import signal
+import threading
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from .distributions import Family, Instance, Marginal, best_arm
+from .distributions import Family, Instance, Marginal, _require_int, best_arm
 from .estimators import ESTIMATORS, ESTIMATOR_KINDS, RoundRecord, recommend
 from .policies import (
     AdaptiveNeyman,
@@ -84,29 +76,23 @@ _CHUNK_ROWS = 4096
 _CHUNK_CELLS = 1 << 22
 
 # Cells per stream of a round block when a trial spans several: rounds of
-# _BLOCK_CELLS // rows (655 at 1,600 rows), but never fewer than _MIN_ROUNDS.
-# Each round block costs one draw call per row and stream, and worker threads
-# hand the interpreter lock over at every call: at 4,096 rows, 256-round
-# blocks filled about 2x slower at 2 and 4 threads than 512-round ones.
+# _BLOCK_CELLS // rows (655 at 1,600 rows), but never fewer than _MIN_ROUNDS,
+# since each round block costs one draw call per row and stream.
 _BLOCK_CELLS = 1 << 20
 _MIN_ROUNDS = 512
 
-# Rows drawn into a worker's scratch between transposed copies into a block.
-# The scratch holds _BAND * rounds * 8 bytes (fewer rows if the worker has
+# Rows drawn into a chunk's scratch between transposed copies into a block.
+# The scratch holds _BAND * rounds * 8 bytes (fewer rows if the chunk has
 # fewer): 0.64 MiB at 655 rounds, 1.95 MiB for whole 2,000-round trials.
 _BAND = 128
+
+# Cells (R * T * points) from which replicate forks workers: a fork costs about
+# 4 ms, repaid from about 2-5 * 10^5 cells (adaptive) or 10^6 (block schedules).
+_FORK_CELLS = 1 << 20
 
 # Stream keys are 64-bit words, and rng.spawn rejects a wider seed;
 # replication i keys streams 4i..4i+3, so i stays below 2^62.
 _SEED_LIMIT = 1 << 64
-
-
-def _require_int(name: str, value, bits: int | None = None) -> None:
-    # Python ints only: numpy integers wrap silently in arithmetic such as 4i + k.
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer (a Python int), got {value!r}")
-    if bits is not None and not 0 <= value < 1 << bits:
-        raise ValueError(f"{name} must lie in [0, 2^{bits}), got {value}")
 
 
 @dataclass(frozen=True)
@@ -179,85 +165,57 @@ def _row_fill(arm: Marginal | None, gen: np.random.Generator):
     return gen.standard_normal if gaussian else gen.random
 
 
-def _fill(cfg, lo, t0, blocks, kept, rows, scratch) -> None:
-    """Draw the rounds of one block for chunk rows a..b-1 (rows = (a, b)).
-
-    blocks[k][t, j] receives round t0 + t of stream 4(lo + j) + k: arm-1
-    and arm-2 standard draws (normals, or uniforms for Bernoulli) and, for
-    adaptive policies, selection uniforms. The arms are left unmapped
-    because their outcomes depend on parameters that differ between the
-    points of one replicate call; the kernels map them per round. Under a
-    block schedule arm 1 is never observed from the cut on, so those
-    rounds of its stream are not drawn and stay unset.
-
-    When the block holds whole trials (kept is None), the call opens one
-    generator with spawn and re-keys it to each row's stream in turn (see
-    rng.restarter); the call's generator and re-keyer are its own, so
-    worker threads share neither. Otherwise kept[k][j] is the draw method
-    of stream k of row j, bound to a generator that stays open across
-    blocks; the first block (t0 == 0) spawns it.
-
-    Each row's standard draws take one call that releases the interpreter
-    lock; every _BAND rows the scratch is transposed into the block, so
-    parallel fills seldom wait on the lock.
-    """
-    a, b = rows
-    n = blocks.shape[1]
-    seed = cfg.seed
-    cut = block_cut(cfg.policy, cfg.T)
-    arms = (cfg.instance.arm1, cfg.instance.arm2, None)  # None: selection uniforms
-    if kept is None:
-        gen = spawn(seed, _STREAMS_PER_REP * (lo + a))
-        rekey = restarter(gen, seed)
-    for k, block in enumerate(blocks):
-        arm = arms[k]
-        m = n if k or cut is None else min(n, max(0, cut - t0))
-        if m == 0:
-            continue
-        if kept is None:
-            fill = _row_fill(arm, gen)
-        for i in range(a, b, _BAND):
-            c = min(b, i + _BAND)
-            band = scratch[: c - i, :m]
-            if kept is None:
-                stream = _STREAMS_PER_REP * (lo + i) + k
-                for row in band:
-                    rekey(stream)
-                    fill(out=row)
-                    stream += _STREAMS_PER_REP
-            else:
-                if t0 == 0:
-                    for j in range(i, c):
-                        kept[k][j] = _row_fill(arm, spawn(seed, _STREAMS_PER_REP * (lo + j) + k))
-                for fill, row in zip(kept[k][i:c], band):
-                    fill(out=row)
-            block[:m, i:c] = band.T
-
-
-def _blocks(cfg: TrialConfig, lo: int, hi: int, rounds: int, threads: int = 1):
+def _blocks(cfg: TrialConfig, lo: int, hi: int, rounds: int):
     """Yield (t0, blocks) over round blocks of replications lo..hi-1.
 
-    blocks is a (streams, n, hi - lo) array: rounds t0..t0+n-1, round-major,
-    one column per replication (see _fill). The buffer is reused, so read
-    each block before asking for the next. min(threads, rows, CPUs) workers
-    fill disjoint row ranges of each block, in a thread pool of their own
-    if more than one, and the block is yielded once all of them are done.
+    blocks is a (streams, n, hi - lo) array, reused, so read each block
+    before asking for the next: blocks[k][t, j] is round t0 + t of stream
+    4(lo + j) + k. These are standard draws (normals, or uniforms for
+    Bernoulli) of arms 1 and 2, left for the kernels to map since points
+    differ in their parameters, and, for adaptive policies, selection
+    uniforms. A block schedule's arm-1 rounds from the cut on stay unset.
+
+    A block of whole trials re-keys one spawned generator to each row's
+    stream in turn (see rng.restarter); otherwise kept[k][j], spawned by
+    the first block, is the draw method of stream k of row j. Each row's
+    draws take one call into a row of scratch, transposed into the block
+    every _BAND rows, so each draw writes contiguous memory.
     """
-    B = hi - lo
-    T = cfg.T
-    nstreams = 3 if block_cut(cfg.policy, T) is None else 2
-    buf = np.empty((nstreams, rounds, B))
-    parts = min(threads, B, os.cpu_count() or 1)
-    edges = [B * p // parts for p in range(parts + 1)]
-    ranges = list(zip(edges[:-1], edges[1:]))
-    scratch = [np.empty((min(_BAND, b - a), rounds)) for a, b in ranges]
-    kept = None if rounds >= T else [[None] * B for _ in range(nstreams)]
-    with ThreadPoolExecutor(parts) if parts > 1 else nullcontext() as pool:
-        for t0 in range(0, T, rounds):
-            blocks = buf[:, : min(rounds, T - t0)]
-            fill = partial(_fill, cfg, lo, t0, blocks, kept)
-            list((pool.map if pool else map)(fill, ranges, scratch))
-            yield t0, blocks
+    B, T, seed = hi - lo, cfg.T, cfg.seed
+    cut = block_cut(cfg.policy, T)
+    arms = (cfg.instance.arm1, cfg.instance.arm2, None)[: 3 if cut is None else 2]
+    buf = np.empty((len(arms), rounds, B))
+    scratch = np.empty((min(_BAND, B), rounds))
+    kept = None if rounds >= T else [[None] * B for _ in arms]
+    if kept is None:
+        gen = spawn(seed, _STREAMS_PER_REP * lo)
+        rekey = restarter(gen, seed)
+    for t0 in range(0, T, rounds):
+        blocks = buf[:, : min(rounds, T - t0)]
+        n = blocks.shape[1]
+        for k, (arm, block) in enumerate(zip(arms, blocks)):
+            m = n if k or cut is None else min(n, max(0, cut - t0))
+            if m == 0:
+                continue
+            for i in range(0, B, _BAND):
+                c = min(B, i + _BAND)
+                band = scratch[: c - i, :m]
+                if kept is None:
+                    fill = _row_fill(arm, gen)
+                    stream = _STREAMS_PER_REP * (lo + i) + k
+                    for row in band:
+                        rekey(stream)
+                        fill(out=row)
+                        stream += _STREAMS_PER_REP
+                else:
+                    if t0 == 0:
+                        for j in range(i, c):
+                            stream = _STREAMS_PER_REP * (lo + j) + k
+                            kept[k][j] = _row_fill(arm, spawn(seed, stream))
+                    for fill, row in zip(kept[k][i:c], band):
+                        fill(out=row)
+                block[:m, i:c] = band.T
+        yield t0, blocks
 
 
 def simulate_rounds(
@@ -472,6 +430,83 @@ def _points(cfg: TrialConfig, instances: Sequence[Instance]) -> list[TrialConfig
     return points
 
 
+def _rows(cfg: TrialConfig, kernel, G: int, lo: int, hi: int):
+    """(G, B, 2) outcome sums and (G, B) arm-1 counts of replications lo..hi-1, chunk by chunk."""
+    B = hi - lo
+    n1, acc = np.empty((G, B), dtype=np.int64), np.empty((G, B, 2))
+    rows, rounds = _layout(B, cfg.T)
+    for a in range(0, B, rows):
+        b = min(a + rows, B)
+        blocks = _blocks(cfg, lo + a, lo + b, rounds)
+        acc[:, a:b, 0], acc[:, a:b, 1], n1[:, a:b] = kernel(blocks, (G, b - a))
+    return acc, n1
+
+
+def _workers(threads: int, R: int, cells: int) -> int:
+    """Worker processes for a replicate call: min(threads, R, CPUs it may run on).
+
+    One below _FORK_CELLS cells, without os.fork or os.sched_setaffinity, or
+    while other threads are alive, whose state a forked child would lack.
+    """
+    if cells < _FORK_CELLS or not (hasattr(os, "fork") and hasattr(os, "sched_setaffinity")):
+        return 1
+    return 1 if threading.active_count() > 1 else min(threads, R, len(os.sched_getaffinity(0)))
+
+
+def _child(run, lo: int, hi: int, cpu: int, fd: int) -> None:
+    """A forked worker: run(lo, hi) pinned to cpu, its result or exception pickled to fd."""
+    try:
+        try:
+            os.sched_setaffinity(0, {cpu})
+            result = run(lo, hi)
+        except BaseException as exc:
+            result = exc
+        with os.fdopen(fd, "wb") as pipe:
+            pipe.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))  # all or nothing
+        os._exit(0)
+    finally:
+        os._exit(1)
+
+
+def _forked(run, edges: list[int]) -> list:
+    """run(lo, hi) for each range of edges, in order: the first here, each other in a child.
+
+    Each process runs pinned to a CPU of its own; this one gets its mask back.
+    Every child is reaped, and killed first if this process raises. A child's
+    exception is raised here, and ChildProcessError (exit status -N: signal N)
+    for one that ends without a result.
+    """
+    cpus = sorted(mask := os.sched_getaffinity(0))
+    children, codes = [], []
+    try:
+        for cpu, lo, hi in zip(cpus[1:], edges[1:-1], edges[2:]):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child(run, lo, hi, cpu, w)
+            children.append((pid, os.fdopen(r, "rb")))
+            os.close(w)
+        os.sched_setaffinity(0, {cpus[0]})
+        parts = [run(edges[0], edges[1])]
+        sent = [pipe.read() for _, pipe in children]
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+        os.sched_setaffinity(0, mask)
+    for data, code, lo, hi in zip(sent, codes, edges[1:-1], edges[2:]):
+        why = f"the worker for replications {lo}..{hi - 1} ended without a result"
+        part = pickle.loads(data) if data else ChildProcessError(f"{why} (exit status {code})")
+        if isinstance(part, BaseException):
+            raise part
+        parts.append(part)
+    return parts
+
+
 def replicate(
     cfg: TrialConfig, R: int, threads: int = 1, *, instances: Sequence[Instance] | None = None
 ) -> Replications | tuple[Replications, ...]:
@@ -480,8 +515,8 @@ def replicate(
     Element i reproduces run_trial(cfg, i) exactly. Results, and the error
     for an arm the sample-mean estimator never observed (naming the lowest
     such replication, arm 1 first), do not depend on chunks, blocks or
-    `threads`. One kernel call per chunk runs here and walks its blocks;
-    at most min(threads, CPUs) worker threads fill them.
+    `threads`, which bounds the worker processes (see _workers and _forked);
+    each worker fills its rows' tables on its one thread.
 
     With instances, runs one configuration per instance, replace(cfg,
     instance=inst), and returns a tuple of Replications in that order,
@@ -491,28 +526,24 @@ def replicate(
     runs all of them; an error names the first failing point's
     replication, as separate calls in order would.
     """
-    _require_int("R", R)
-    _require_int("threads", threads)
-    if R < 1:
-        raise ValueError(f"R must be >= 1, got {R}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    for name, value in (("R", R), ("threads", threads)):
+        _require_int(name, value)
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    _require_int("R", R, 62)
     points = [cfg] if instances is None else _points(cfg, instances)
     arm1 = _arm_outcomes([p.instance.arm1 for p in points])
     arm2 = _arm_outcomes([p.instance.arm2 for p in points])
-    n1 = np.empty((len(points), R), dtype=np.int64)
-    acc = np.empty((len(points), R, 2))
     cut = block_cut(cfg.policy, cfg.T)
     if cut is None:
         kernel = partial(_kernel_adaptive, cfg.policy, cfg.estimator, arm1, arm2)
     else:
         kernel = partial(_kernel_block, cut, arm1, arm2)
 
-    rows, rounds = _layout(R, cfg.T)
-    for lo in range(0, R, rows):
-        hi = min(lo + rows, R)
-        blocks = _blocks(cfg, lo, hi, rounds, threads)
-        acc[:, lo:hi, 0], acc[:, lo:hi, 1], n1[:, lo:hi] = kernel(blocks, (len(points), hi - lo))
+    run = partial(_rows, cfg, kernel, len(points))
+    parts = _workers(threads, R, R * cfg.T * len(points))
+    out = [run(0, R)] if parts == 1 else _forked(run, [R * p // parts for p in range(parts + 1)])
+    acc, n1 = (np.concatenate(x, axis=1) for x in zip(*out))
 
     reps = tuple(_finish(p, acc[g], n1[g]) for g, p in enumerate(points))
     return reps[0] if instances is None else reps

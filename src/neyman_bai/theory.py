@@ -12,23 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Instance, _bernoulli_kl, kl_divergence
-from .engine import Replications, TrialConfig, _require_int, replicate
+from .distributions import Instance, _bernoulli_kl, _require, kl_divergence
+from .engine import Replications, TrialConfig, replicate
 from .policies import Policy
-
-
-def _require(sigma1: float, sigma2: float, T: int | None = None, gap: float = 0.0) -> None:
-    """Reject an input outside the bounds' domain, naming the argument."""
-    # 1e50 is the schema's and Marginal's sigma limit; 2^53 TrialConfig's budget limit.
-    for name, sigma in (("sigma1", sigma1), ("sigma2", sigma2)):
-        if not 0.0 < sigma <= 1e50:
-            raise ValueError(f"{name} must lie in (0, 1e50], got {sigma!r}")
-    if not 0.0 <= gap < math.inf:
-        raise ValueError(f"gap must be finite and >= 0, got {gap!r}")
-    if T is not None:
-        _require_int("T", T, 53)
-        if T < 1:
-            raise ValueError(f"budget T must be >= 1, got {T}")
 
 
 def chernoff_envelope(sigma1: float, sigma2: float) -> float:
@@ -78,8 +64,9 @@ def binary_relative_entropy(x: float, y: float) -> float:
     Conventions: d(x, x) = 0 including at the endpoints, and the result is
     +inf when y is 0 or 1 while x differs from it.
     """
-    if not 0.0 <= x <= 1.0 or not 0.0 <= y <= 1.0:
-        raise ValueError(f"arguments must lie in [0, 1], got ({x}, {y})")
+    for name, value in (("x", x), ("y", y)):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
     if x == y:
         return 0.0
     if y == 0.0 or y == 1.0:

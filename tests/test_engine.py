@@ -1,7 +1,10 @@
 """Monte Carlo engine: scalar/vectorized agreement, determinism, reports."""
 
 import hashlib
+import json
 import math
+import os
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -12,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import neyman_bai.engine as eng
+from neyman_bai import cli
 from neyman_bai.distributions import Family, Instance, Marginal
 from neyman_bai.engine import (
     DEFAULT_GRID,
@@ -302,28 +306,34 @@ class TestLayout:
             assert 3 * rounds * rows * 8 <= (24 << 20 if rows <= 2048 else 48 << 20)
 
 
-class TestFillWorkers:
-    """_blocks runs min(threads, rows, CPUs) fill workers, in a pool only if more than one."""
+class TestWorkers:
+    """min(threads, R, CPUs it may run on) worker processes from _FORK_CELLS cells on, else one."""
 
     @pytest.mark.parametrize(
-        "cpus, threads, rows, sizes",
-        [(1, 4, 300, []), (None, 4, 300, []), (2, 4, 300, [2]), (8, 4, 300, [4]),
-         (8, 4, 3, [3]), (8, 1, 300, [])],
+        "cpus, threads, R, cells, want",
+        [(1, 4, 300, 1 << 30, 1), (2, 4, 300, 1 << 30, 2), (8, 4, 300, 1 << 30, 4),
+         (8, 4, 3, 1 << 30, 3), (8, 1, 300, 1 << 30, 1), (8, 10**400, 300, 1 << 30, 8),
+         (8, 4, 300, eng._FORK_CELLS, 4), (8, 4, 300, eng._FORK_CELLS - 1, 1)],
+        ids=["1-cpu", "2-cpus", "4-threads", "3-rows", "1-thread", "threads-10^400",
+             "at-the-threshold", "below-the-threshold"],
     )
-    def test_workers_are_capped_by_cpus_and_rows(self, monkeypatch, cpus, threads, rows, sizes):
-        """The worker count of each pool _blocks opens for one chunk; [] for none."""
-        opened = []
+    def test_workers_are_capped_by_threads_rows_and_cpus(
+        self, monkeypatch, cpus, threads, R, cells, want
+    ):
+        monkeypatch.setattr(eng.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert eng._workers(threads, R, cells) == want
 
-        class Recording(eng.ThreadPoolExecutor):
-            def __init__(self, workers):
-                opened.append(workers)
-                super().__init__(workers)
+    def test_one_worker_while_other_threads_are_alive(self, monkeypatch):
+        monkeypatch.setattr(eng.os, "sched_getaffinity", lambda pid: {0, 1})
+        assert eng._workers(2, 300, 1 << 30) == 2
+        monkeypatch.setattr(eng.threading, "active_count", lambda: 2)
+        assert eng._workers(2, 300, 1 << 30) == 1
 
-        monkeypatch.setattr(eng.os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(eng, "ThreadPoolExecutor", Recording)
-        cfg = TrialConfig(GAUSS, 30, AdaptiveNeyman(), "aipw", seed=77)
-        assert len(list(eng._blocks(cfg, 0, rows, 7, threads))) == 5
-        assert opened == sizes
+    @pytest.mark.parametrize("missing", ["fork", "sched_setaffinity"])
+    def test_one_worker_without_fork_or_pinning(self, monkeypatch, missing):
+        monkeypatch.setattr(eng.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.delattr(eng.os, missing)
+        assert eng._workers(2, 300, 1 << 30) == 1
 
 
 class TestChunkMemory:
@@ -421,46 +431,41 @@ class TestStreamIdentity:
 
     @pytest.mark.parametrize("inst", [GAUSS, BERN], ids=["gaussian", "bernoulli"])
     @pytest.mark.parametrize("policy", [AdaptiveNeyman(), Uniform()], ids=["adaptive", "block"])
-    def test_band_edges_and_worker_starts_equal_fresh_spawn_streams(
-        self, inst, policy, monkeypatch
-    ):
+    def test_band_edges_and_worker_starts_equal_fresh_spawn_streams(self, inst, policy):
         """Whole-trial rows re-keyed one after another, checked where a step could slip.
 
-        Two workers fill rows 0..149 and 150..299 of a 300-row chunk that
-        starts at replication 2^61, each in bands of _BAND = 128 rows. The
-        CPU count is patched so that the workers run on a 1-CPU host too.
+        Two workers' ranges, replications 2^61 + 0..149 and 150..299, each
+        filled in bands of _BAND = 128 rows.
         """
         assert eng._BAND == 128
-        monkeypatch.setattr(eng.os, "cpu_count", lambda: 8)
         cfg = TrialConfig(inst, 12, policy, "sample_mean", seed=77)
-        lo = 2**61
-        ((_, tables),) = eng._blocks(cfg, lo, lo + 300, cfg.T, 2)
-        edges = [0, 127, 128, 149, 150, 277, 278, 299]
-        self._assert_fresh_streams(cfg, lo, tables, edges)
+        for lo in (2**61, 2**61 + 150):
+            ((_, tables),) = eng._blocks(cfg, lo, lo + 150, cfg.T)
+            self._assert_fresh_streams(cfg, lo, tables, [0, 127, 128, 149])
 
     @pytest.mark.parametrize("inst", [GAUSS, BERN], ids=["gaussian", "bernoulli"])
     @pytest.mark.parametrize("policy", [AdaptiveNeyman(), Uniform()], ids=["adaptive", "block"])
-    @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_block_filled_streams_equal_whole_stream_draws(
-        self, inst, policy, threads, monkeypatch
-    ):
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_block_filled_streams_equal_whole_stream_draws(self, inst, policy, workers):
         """Streams kept open across 7-round blocks (the last one partial).
 
-        A 300-row chunk from replication 2^61: rows 127/128 straddle a band
-        edge, 149/150 the second worker's first row at two threads, and
-        99/100 and 199/200 the workers' first rows at three. Uniform's cut
-        at round 15 falls inside the third block, and arm 1 is not drawn in
-        the last two. The CPU count is patched so that every worker runs
-        whatever the host's.
+        300 rows from replication 2^61, split into the workers' ranges as
+        replicate splits them: rows 127/128 straddle a band edge, 149/150
+        the second worker's first row at two workers, and 99/100 and
+        199/200 the workers' first rows at three. Uniform's cut at round 15
+        falls inside the third block, and arm 1 is not drawn in the last two.
         """
-        monkeypatch.setattr(eng.os, "cpu_count", lambda: 8)
         cfg = TrialConfig(inst, 30, policy, "sample_mean", seed=77)
         lo = 2**61
-        blocks = [(t0, b.copy()) for t0, b in eng._blocks(cfg, lo, lo + 300, 7, threads)]
-        assert [t0 for t0, _ in blocks] == [0, 7, 14, 21, 28]
-        tables = np.concatenate([b for _, b in blocks], axis=1)
-        edges = [0, 99, 100, 127, 128, 149, 150, 199, 200, 299]
-        self._assert_fresh_streams(cfg, lo, tables, edges)
+        edges = [lo + 300 * p // workers for p in range(workers + 1)]
+        parts = []
+        for a, b in zip(edges[:-1], edges[1:]):
+            blocks = [(t0, x.copy()) for t0, x in eng._blocks(cfg, a, b, 7)]
+            assert [t0 for t0, _ in blocks] == [0, 7, 14, 21, 28]
+            parts.append(np.concatenate([x for _, x in blocks], axis=1))
+        tables = np.concatenate(parts, axis=2)
+        columns = [0, 99, 100, 127, 128, 149, 150, 199, 200, 299]
+        self._assert_fresh_streams(cfg, lo, tables, columns)
 
     # SHA-256 of n1 (<i8) then mu_hat (<f8) for R = 50. The adaptive digest
     # was computed before streams were opened by re-keying one generator per
@@ -488,6 +493,147 @@ class TestStreamIdentity:
         assert self._digest(replicate(cfg, 50)) == want
         _force_layout(monkeypatch, 7, 7 * 9)  # 7-row chunks of 9-round blocks
         assert self._digest(replicate(cfg, 50, threads=2)) == want
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """Worker processes for every replicate call with threads > 1, and no child left after.
+
+    The cell threshold is patched to 0. On a 1-CPU host two CPUs are faked
+    and pinning is skipped, so that two workers run there too. Afterwards
+    this process must have its own CPU mask back and no child to reap.
+    """
+    monkeypatch.setattr(eng, "_FORK_CELLS", 0)
+    if len(os.sched_getaffinity(0)) < 2:
+        monkeypatch.setattr(eng.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(eng.os, "sched_setaffinity", lambda pid, cpus: None)
+    mask = os.sched_getaffinity(0)
+    yield
+    assert os.sched_getaffinity(0) == mask
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _assert_same(got, want, label):
+    for field in ("recommended", "correct", "n1", "mu_hat"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), (label, field)
+
+
+@pytest.mark.usefixtures("forked")
+class TestWorkerProcesses:
+    """Rows split between forked workers give the in-process results bit for bit."""
+
+    @pytest.mark.parametrize("inst", [GAUSS, BERN], ids=["gaussian", "bernoulli"])
+    def test_every_combo_equals_one_thread(self, inst, monkeypatch):
+        """Whole trials, then 5-row chunks of 7-round blocks in each worker."""
+        R = 13
+        for layout in (None, (5, 35)):
+            if layout:
+                _force_layout(monkeypatch, *layout)
+            for policy, est in _combos(inst):
+                cfg = TrialConfig(inst, 37, policy, est, seed=7)
+                want = replicate(cfg, R)
+                for threads in (2, 3):
+                    _assert_same(replicate(cfg, R, threads), want, (policy, est, layout, threads))
+
+    @pytest.mark.parametrize("policy, est", SWEEP_PAIRS)
+    def test_stacked_instances_equal_one_thread(self, policy, est):
+        cfgs = _sweep_configs(policy, est, 37, (0.25, 1.0, 3.0), seed=7)
+        instances = [cfg.instance for cfg in cfgs]
+        want = replicate(cfgs[0], 13, instances=instances)
+        got = replicate(cfgs[0], 13, 2, instances=instances)
+        for g, (a, b) in enumerate(zip(got, want)):
+            _assert_same(a, b, g)
+
+    @pytest.mark.parametrize("name", sorted(TestStreamIdentity.PINNED))
+    def test_pinned_digests(self, name):
+        cfg, want = TestStreamIdentity.PINNED[name]
+        assert TestStreamIdentity._digest(replicate(cfg, 50, threads=2)) == want
+
+    def test_each_range_runs_in_its_own_pinned_process(self):
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("pinning needs two CPUs")
+
+        def where(lo, hi):
+            return lo, hi, os.getpid(), sorted(os.sched_getaffinity(0))
+
+        cpus = sorted(os.sched_getaffinity(0))
+        parts = eng._forked(where, [0, 4, 9])
+        assert [part[:2] for part in parts] == [(0, 4), (4, 9)]
+        assert parts[0][2] == os.getpid() != parts[1][2]
+        assert [part[3] for part in parts] == [[cpus[0]], [cpus[1]]]
+
+    def test_starved_replication_in_the_second_range_is_named(self):
+        """At seed 4 only replications 28 and 29 of 40 starve an arm: the second range's."""
+        cfg = TrialConfig(GAUSS, 37, AdaptiveNeyman(), "sample_mean", seed=4)
+        want = _starved_message(cfg, 40)
+        assert "replication 28;" in want
+        for threads in (1, 2):
+            with pytest.raises(ValueError) as err:
+                replicate(cfg, 40, threads)
+            assert str(err.value) == want
+
+    @staticmethod
+    def _second_range(monkeypatch, action):
+        """Patch _rows so that every range but the first runs action(lo, hi) first."""
+        rows = eng._rows
+
+        def patched(cfg, kernel, G, lo, hi):
+            if lo > 0:
+                action(lo, hi)
+            return rows(cfg, kernel, G, lo, hi)
+
+        monkeypatch.setattr(eng, "_rows", patched)
+
+    def test_a_childs_exception_is_raised_here(self, monkeypatch):
+        def refuse(lo, hi):
+            raise ValueError(f"replications {lo}..{hi - 1} refused in {os.getpid()}")
+
+        self._second_range(monkeypatch, refuse)
+        cfg = TrialConfig(GAUSS, 37, AdaptiveNeyman(), "aipw", seed=7)
+        with pytest.raises(ValueError, match=r"^replications 6\.\.12 refused in \d+$") as err:
+            replicate(cfg, 13, 2)
+        assert str(os.getpid()) not in str(err.value)
+
+    def test_a_child_ending_without_a_result_raises_child_process_error(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        self._second_range(monkeypatch, lambda lo, hi: os._exit(3))
+        cfg = TrialConfig(GAUSS, 37, AdaptiveNeyman(), "aipw", seed=7)
+        want = "the worker for replications 6..12 ended without a result (exit status 3)"
+        with pytest.raises(ChildProcessError) as err:
+            replicate(cfg, 13, 2)
+        assert str(err.value) == want
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({
+            "instance": {"family": "gaussian", "means": [0.5, 0.0], "variances": [1.0, 1.0]},
+            "T": 50, "policy": {"kind": "adaptive_neyman"}, "R": 13, "seed": 7, "threads": 2,
+        }))
+        assert cli.main(["run", "--config", str(path)]) == cli.EXIT_IO
+        out, errs = capsys.readouterr()
+        assert out == ""
+        assert [line for line in errs.splitlines() if line.startswith("error:")] == [
+            f"error: {want}"
+        ]
+        assert "Traceback" not in errs
+
+    def test_children_are_killed_when_this_process_raises(self, monkeypatch):
+        """The second range would sleep a minute; the first interrupts at once."""
+        rows = eng._rows
+
+        def patched(cfg, kernel, G, lo, hi):
+            if lo == 0:
+                raise KeyboardInterrupt
+            time.sleep(60)
+            return rows(cfg, kernel, G, lo, hi)
+
+        monkeypatch.setattr(eng, "_rows", patched)
+        cfg = TrialConfig(GAUSS, 37, AdaptiveNeyman(), "aipw", seed=7)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            replicate(cfg, 13, 2)
+        assert time.monotonic() - start < 30
 
 
 class TestBlockSchedules:

@@ -147,6 +147,7 @@ class TestDomain:
         st.floats(allow_nan=True, allow_infinity=True),
     )
     VALID = {"sigma1": 1.0, "sigma2": 2.0, "gap": 0.1, "T": 100}
+    VALID_ALT = {"sigma1": 1.0, "sigma2": 2.0, "T": 100}
 
     @staticmethod
     def _outside(sigma1, sigma2, T=None, gap=0.0, T_min=1):
@@ -198,6 +199,87 @@ class TestDomain:
         cfg = self._call(lambda: TrialConfig(inst, T, Uniform(), "sample_mean", 0), bad)
         assert cfg is None or cfg.T == T
 
+    @settings(max_examples=300, deadline=None)
+    @given(sigma1=FLOATS, sigma2=FLOATS, T=BUDGETS)
+    def test_lower_bound_alternative_rejects_or_returns_the_instance(self, sigma1, sigma2, T):
+        """Outside the bounds' domain, or a sigma squaring to a variance outside
+        (0, 1e100] (Marginal's limit; 1e50 squares to just above it), is named."""
+        drawn = {"sigma1": sigma1, "sigma2": sigma2, "T": T}
+        for args in [*({**self.VALID_ALT, k: v} for k, v in drawn.items()), drawn]:
+            s1, s2, budget = args["sigma1"], args["sigma2"], args["T"]
+            bad = self._outside(s1, s2, budget)
+            bad |= {n for n, s in (("sigma1", s1), ("sigma2", s2)) if not 0.0 < s * s <= 1e100}
+            inst = self._call(lambda: lower_bound_alternative(s1, s2, budget), bad)
+            if inst is not None:
+                assert inst.arm1.mean < 0.0 < inst.arm2.mean
+                assert (inst.arm1.variance, inst.arm2.variance) == (s1 * s1, s2 * s2)
+
+    UNIT = st.one_of(
+        st.floats(0.0, 1.0),
+        st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -5e-324, 1.0 + 2**-52]),
+        st.floats(allow_nan=True, allow_infinity=True),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=UNIT, y=UNIT)
+    def test_binary_relative_entropy_rejects_or_returns_its_convention(self, x, y):
+        """A value outside [0, 1] is named; +inf only for y in {0, 1} with x != y."""
+        bad = {n for n, v in (("x", x), ("y", y)) if not 0.0 <= v <= 1.0}
+        d = self._call(lambda: binary_relative_entropy(x, y), bad)
+        if d is not None:
+            assert d >= 0.0
+            assert math.isfinite(d) or (y in (0.0, 1.0) and x != y)
+
+    BASE = Instance(Marginal.gaussian(0.01, 1.0), Marginal.gaussian(0.0, 1.0))
+    BAD_TRANSPORT = [
+        *(("T", v) for v in (1, 0, -1, 2.5, True, math.inf, math.nan, 2**53, 10**400)),
+        *(("R", v) for v in (0, -1, 2.0, True, np.int64(5), 2**62, 10**400)),
+        *(("seed", v) for v in (-1, 2**64, 1.0, True, np.int64(3))),
+        *(("threads", v) for v in (0, -1, 1.5, True, None, np.int64(2))),
+    ]
+
+    @pytest.mark.parametrize("name, value", BAD_TRANSPORT, ids=lambda v: repr(v)[:24])
+    def test_check_transportation_names_an_argument_outside_its_domain(self, name, value):
+        args = {"T": 10, "R": 20, "seed": 3, "threads": 1, name: value}
+        alt = lower_bound_alternative(1.0, 1.0, 10)
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            check_transportation(self.BASE, alt, Uniform(), **args)
+
+    @pytest.mark.parametrize("T, R, threads", [(2, 1, 1), (3, 2, 2), (10, 20, 1), (50, 400, 2)])
+    def test_check_transportation_in_its_domain_is_finite_on_the_left(self, T, R, threads):
+        """rhs, d(p, q) of two frequencies, is +inf when one is 0 or 1 and the other differs."""
+        alt = lower_bound_alternative(1.0, 1.0, T)
+        report = check_transportation(self.BASE, alt, Uniform(), T, R, seed=3, threads=threads)
+        assert math.isfinite(report.lhs) and math.isfinite(report.se)
+        assert report.rhs >= 0.0
+        assert report.mean_n1 == (T + 1) // 2
+
+    GAUSS = Instance(Marginal.gaussian(0.3, 1.0), Marginal.gaussian(0.0, 2.5))
+    BAD_REPLICATE = [
+        *(({"R": v}, "R") for v in (0, -1, 2.0, True, np.int64(5), None, 2**62, 10**400)),
+        *(({"threads": v}, "threads") for v in (0, -1, 1.5, True, None, np.int64(2))),
+        *(({"instances": v}, "instances") for v in (
+            [], [(0.3, 0.0)], [GAUSS, None],
+            [Instance(Marginal.bernoulli(0.5), Marginal.gaussian(0.0, 1.0))],
+            [Instance(Marginal.gaussian(0.0, 1.0), Marginal.bernoulli(0.5))],
+        )),
+    ]
+
+    @pytest.mark.parametrize("kwargs, name", BAD_REPLICATE, ids=lambda v: repr(v)[:24])
+    def test_replicate_names_an_argument_outside_its_domain(self, kwargs, name):
+        cfg = TrialConfig(self.GAUSS, 10, Uniform(), "sample_mean", seed=1)
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            replicate(cfg, **{"R": 5, **kwargs})
+
+    @pytest.mark.parametrize("R", [1, 2, 7])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_replicate_in_its_domain_returns_every_replication(self, R, threads):
+        cfg = TrialConfig(self.GAUSS, 10, Uniform(), "sample_mean", seed=1)
+        reps = replicate(cfg, R, threads)
+        assert reps.mu_hat.shape == (R, 2) and np.isfinite(reps.mu_hat).all()
+        (stacked,) = replicate(cfg, R, threads, instances=(self.GAUSS,))
+        assert np.array_equal(stacked.mu_hat, reps.mu_hat)
+
     @pytest.mark.parametrize(
         "call, name",
         [
@@ -207,8 +289,20 @@ class TestDomain:
             (lambda: misid_upper_bound(1.0, 1.0, 0.5, 2.5), "T"),
             (lambda: misid_upper_bound(1.0, 1.0, 0.5, 2**53), "T"),
             (lambda: chernoff_envelope(1.0, 2e50), "sigma2"),
+            (lambda: lower_bound_alternative(1.0, 1.0, 2.5), "T"),
+            (lambda: lower_bound_alternative(1.0, 1.0, True), "T"),
+            (lambda: lower_bound_alternative(1.0, 1.0, math.inf), "T"),
+            (lambda: lower_bound_alternative(1.0, 1.0, 10**400), "T"),
+            (lambda: lower_bound_alternative(math.nan, 1.0, 100), "sigma1"),
+            (lambda: lower_bound_alternative(1.0, 1e-300, 100), "sigma2"),
+            (lambda: lower_bound_alternative(1e50, 1.0, 100), "sigma1"),
+            (lambda: binary_relative_entropy(math.nan, 0.5), "x"),
+            (lambda: binary_relative_entropy(0.5, 1.5), "y"),
         ],
-        ids=["nan-gap", "nan-sigma", "bool-T", "float-T", "T-2^53", "sigma-past-1e50"],
+        ids=["nan-gap", "nan-sigma", "bool-T", "float-T", "T-2^53", "sigma-past-1e50",
+             "alt-float-T", "alt-bool-T", "alt-inf-T", "alt-T-10^400", "alt-nan-sigma",
+             "alt-sigma-squared-underflows", "alt-sigma-1e50-squared-past-1e100", "bre-nan-x",
+             "bre-y-past-1"],
     )
     def test_reproduced_inputs_are_named(self, call, name):
         with pytest.raises(ValueError, match=rf"\b{name}\b"):

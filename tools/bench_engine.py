@@ -2,7 +2,7 @@
 
 Usage:
     python3 tools/bench_engine.py --out BENCH_<n>.json --side LABEL=SRC [--side ...]
-                                  [--repeats N]
+                                  [--repeats N] [--tier1 N]
 
 Each side is a label and a source directory holding neyman_bai, for
 example `--side parent=../parent/src --side change=src` for a checkout of
@@ -35,6 +35,11 @@ sides alike. One measurement covers:
   is not comparable with theirs;
 - replicate wall and CPU time for adaptive Neyman + AIPW at R = 3200,
   T = 10^4 and threads 1, 2 and 4;
+- the eight shapes of SHAPES, each at threads 1 and 2: the benchmark
+  sweep, adaptive AIPW at four (T, R) shapes, the oracle and uniform
+  block schedules, and the transportation pair;
+- the `bound_sweep` fixture of the acceptance tests
+  (`verification.bound_sweep(42, threads=4)`);
 - the benchmark's transportation check (`transport_short`): verify check
   7's pair, uniform allocation, T = 50, R = 20,000, threads 1, as the
   median wall and CPU time of five operations (one operation takes about
@@ -43,6 +48,14 @@ sides alike. One measurement covers:
   wall time, PASS flag and detail line, next to the wall and CPU time of
   the whole run;
 - the line count of src/ and the size of neyman_bai.__all__.
+
+Every wall/CPU figure comes from `_timed`: CPU seconds count this
+process and the children it reaped during the call (`RUSAGE_CHILDREN`),
+since replicate runs its rows in forked workers, and `children_peak_rss_mib`
+is the largest RSS of any child reaped so far. With `--tier1 N`, each side's
+tier-1 suite (`python -m pytest -q` in the directory above SRC, with an
+empty Hypothesis database of its own) is timed N times, the sides
+alternating, and its summary line kept.
 
 Each fill figure and kernel width is the median of OPERATIONS (5)
 operations. Under `runs`, each label holds the median of every figure
@@ -64,6 +77,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from functools import partial
 from pathlib import Path
@@ -80,6 +94,19 @@ SWEEP = {"sigmas": (1.0, 2.0), "T": 10_000, "grid": (0.5, 1.0, 1.5), "R": 1600, 
 TRANSPORT = {"T": 50, "R": 20_000, "threads": 1, "operations": 5}
 SWEEP_KERNEL = {"rows": 1600, "rounds": 655, "estimator": "aipw"}
 OPERATIONS_INTERLEAVED = 25
+# name: (policy, estimator, T, R); the sweep and the transport pair are
+# the benchmark's two workloads, timed here as library calls.
+SHAPES = {
+    "benchmark sweep": ("adaptive", "aipw", SWEEP["T"], SWEEP["R"]),
+    "adaptive aipw T=10000 R=3200": ("adaptive", "aipw", 10_000, 3200),
+    "oracle T=10000 R=8000": ("oracle", "sample_mean", 10_000, 8000),
+    "uniform T=1000 R=4096": ("uniform", "sample_mean", 1000, 4096),
+    "adaptive aipw T=2000 R=1600": ("adaptive", "aipw", 2000, 1600),
+    "adaptive aipw T=20000 R=200": ("adaptive", "aipw", 20_000, 200),
+    "adaptive aipw T=200 R=10000": ("adaptive", "aipw", 200, 10_000),
+    "transport pair T=50 R=20000": ("uniform", "sample_mean", 50, 20_000),
+}
+SHAPE_THREADS = (1, 2)
 
 
 def _args(argv):
@@ -87,6 +114,8 @@ def _args(argv):
     p.add_argument("--out", type=Path)
     p.add_argument("--side", action="append", default=[], metavar="LABEL=SRC")
     p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--tier1", type=int, default=0, metavar="N",
+                   help="time each side's tier-1 suite N times")
     p.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.worker is None and (args.out is None or not args.side):
@@ -209,10 +238,44 @@ def interleaved_kernel(sides) -> dict:
     }
 
 
+def _children_cpu() -> float:
+    ru = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return ru.ru_utime + ru.ru_stime
+
+
 def _timed(fn) -> dict:
-    c, t = time.process_time(), time.perf_counter()
+    """Wall and CPU seconds of fn(), CPU counting the children it reaped too."""
+    c, k, t = time.process_time(), _children_cpu(), time.perf_counter()
     fn()
-    return {"wall_s": time.perf_counter() - t, "cpu_s": time.process_time() - c}
+    wall = time.perf_counter() - t
+    children = _children_cpu() - k
+    return {
+        "wall_s": wall,
+        "cpu_s": time.process_time() - c + children,
+        "children_cpu_s": children,
+        "children_peak_rss_mib": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0,
+    }
+
+
+def _shape_call(engine, theory, name: str, threads: int):
+    """SHAPES[name] at `threads`, as a call without arguments."""
+    from neyman_bai.distributions import Instance, Marginal, lower_bound_alternative
+    from neyman_bai.policies import AdaptiveNeyman, OracleNeyman, Uniform
+
+    kind, estimator, T, R = SHAPES[name]
+    if name == "benchmark sweep":
+        return lambda: engine.sweep_worst_case(
+            SWEEP["sigmas"], T, AdaptiveNeyman(), estimator, R, 7, grid=SWEEP["grid"],
+            threads=threads,
+        )
+    base = Instance(Marginal.gaussian(0.01, 1.0), Marginal.gaussian(0.0, 4.0))
+    if name.startswith("transport"):
+        return lambda: theory.check_transportation(
+            base, lower_bound_alternative(1.0, 1.0, T), Uniform(), T, R=R, seed=7, threads=threads
+        )
+    policy = {"adaptive": AdaptiveNeyman(), "oracle": OracleNeyman(1.0, 2.0), "uniform": Uniform()}
+    cfg = engine.TrialConfig(base, T, policy[kind], estimator, 7)
+    return lambda: engine.replicate(cfg, R, threads)
 
 
 def measure() -> dict:
@@ -228,6 +291,11 @@ def measure() -> dict:
     ))
     sweep["cells_per_s"] = len(SWEEP["grid"]) * SWEEP["R"] * SWEEP["T"] / sweep["wall_s"]
     sweep["peak_rss_mib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    shapes = {
+        name: {str(n): _timed(_shape_call(engine, theory, name, n)) for n in SHAPE_THREADS}
+        for name in SHAPES
+    }
+    bound_sweep = _timed(lambda: verification.bound_sweep(42, threads=4))
 
     families = {
         "gaussian": Instance(Marginal.gaussian(0.03, 1.0), Marginal.gaussian(0.0, 4.0)),
@@ -273,6 +341,8 @@ def measure() -> dict:
         "fill_ns_per_cell": fill,
         "kernel_ns_per_cell": kernels,
         "replicate_adaptive_aipw_threads": scaling,
+        "shapes_threads": shapes,
+        "bound_sweep_threads4": bound_sweep,
         "sweep_adaptive_2t": sweep,
         "transport_short": transport,
         "verify_threads1": verify,
@@ -301,6 +371,22 @@ def _run_worker(src: Path) -> dict:
     return json.loads(proc.stdout)
 
 
+def _tier1(src: Path) -> dict:
+    """Wall seconds and summary line of one tier-1 run of the checkout above src."""
+    root = src.resolve().parent
+    with tempfile.TemporaryDirectory() as db:
+        env = {**os.environ, "PYTHONPATH": str(root / "src"), "HYPOTHESIS_STORAGE_DIRECTORY": db}
+        t = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             "--continue-on-collection-errors"],
+            cwd=root, env=env, capture_output=True, text=True,
+        )
+        wall = time.perf_counter() - t
+    lines = proc.stdout.strip().splitlines()
+    return {"wall_s": wall, "exit": proc.returncode, "summary": lines[-1] if lines else ""}
+
+
 def main(argv=None) -> None:
     args = _args(argv)
     if args.worker is not None:
@@ -313,6 +399,11 @@ def main(argv=None) -> None:
         for label, src in sides if k % 2 == 0 else sides[::-1]:
             runs[label].append(_run_worker(Path(src)))
             print(f"repeat {k + 1}/{args.repeats}: {label} done", file=sys.stderr)
+    tier1 = {label: [] for label, _ in sides}
+    for k in range(args.tier1):
+        for label, src in sides if k % 2 == 0 else sides[::-1]:
+            tier1[label].append(_tier1(Path(src)))
+            print(f"tier-1 {k + 1}/{args.tier1}: {label} {tier1[label][-1]}", file=sys.stderr)
     print("interleaved sweep kernel", file=sys.stderr)
     kernel = interleaved_kernel(sides)
     doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
@@ -323,6 +414,7 @@ def main(argv=None) -> None:
         "operations": OPERATIONS,
         "replicate": REPLICATE, "sweep": SWEEP, "transport": TRANSPORT,
         "sweep_kernel": {**SWEEP_KERNEL, "operations": OPERATIONS_INTERLEAVED},
+        "shapes": SHAPES, "shape_threads": SHAPE_THREADS,
         "order": "sides alternate which runs first from repeat to repeat",
     }
     doc.setdefault("runs", {})
@@ -333,6 +425,8 @@ def main(argv=None) -> None:
             "median": _median(measured),
             "each": measured,
         }
+        if tier1[label]:
+            doc["runs"][label]["tier1"] = tier1[label]
     doc["sweep_kernel_ns_per_cell_interleaved"] = kernel
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(json.dumps({label: doc["runs"][label]["median"] for label in runs}, indent=1))
